@@ -1,6 +1,6 @@
 """Array-native fluid engine vs the scalar reference: same grid, 10x.
 
-Two acceptance bars for the vectorized fluid data plane
+Three acceptance bars for the vectorized fluid data plane
 (:class:`repro.fluid.FluidEngine`, struct-of-arrays + numpy step loop)
 against the loop-per-flow reference implementation it replaced
 (:class:`repro.fluid.ScalarFluidEngine`, selected per spec with
@@ -15,13 +15,21 @@ against the loop-per-flow reference implementation it replaced
   boundaries over the same seeded population; the honest throughput
   unit is flow-steps/second (one flow advanced across one RTT step),
   which is what the vectorized kernels amortize.  Shorter runs dilute
-  the margin: per-spec setup (topology + 1024-destination BFS routing)
-  is identical for both engines, and steady-state concurrency — the
+  the margin: per-spec setup (topology + routing over one BFS table
+  per ToR switch) is identical for both engines, and steady-state concurrency — the
   vector length — takes time to fill, so the untrimmed scenario is the
   fair measurement.
 * **Scale** — the same 1024-host scenario must complete under a hard
   wall budget.  This is the capability the speedup buys: a fabric 64x
   the bench tier's host count, intractable flow-level before.
+* **Routing memory** — routing the same population through
+  ``FluidEngine.add_flows`` holds at most one BFS distance table per
+  attachment (ToR) switch, 128 on k=16, never one per destination host
+  (1023), and what ``repro/fluid/state.py`` allocates while routing
+  (tables, alive-neighbour lists, paths) stays under
+  ``ROUTING_BUDGET_MB`` as traced by ``tracemalloc``.  Measured with
+  CPython 3.11 on 64-bit Linux: 4.6 MB, of which the tables are 1.4 MB;
+  per-destination tables took 41.0 MB, 36 MB of it tables.
 
 Run standalone for a report::
 
@@ -31,16 +39,22 @@ Run standalone for a report::
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 from conftest import run_once
 from repro.experiments import figure11
+from repro.fluid import state as fluid_state
+from repro.fluid.programs import _make_engine
 from repro.runner import CcChoice, SweepRunner
+from repro.runner.execute import build_topology, workload_cdf
+from repro.runner.harness import generate_load_flows
 
 SCHEMES = (CcChoice("hpcc", label="HPCC"),)
 CASES = ("30%+incast",)
 
 WALL_BUDGET_S = 60.0
 MIN_HOSTS = 1024
+ROUTING_BUDGET_MB = 6.0
 
 
 def _specs() -> list:
@@ -99,6 +113,46 @@ def run_scale() -> dict:
     }
 
 
+def run_routing_memory() -> dict:
+    spec = _specs()[0]
+    topology = build_topology(spec)
+    engine, _ = _make_engine(topology, spec)
+    workload = spec.workload
+    flows, _ = generate_load_flows(
+        topology, workload_cdf(workload),
+        load=workload["load"], n_flows=workload["n_flows"],
+        seed=spec.seed, wire_overhead=engine.wire_factor,
+        incast=workload.get("incast"),
+    )
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        engine.add_flows(flows)
+        wall = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    routing = snapshot.filter_traces(
+        [tracemalloc.Filter(True, fluid_state.__file__)]
+    )
+    attachment = {
+        peer
+        for link in topology.links
+        for node, peer in ((link.a, link.b), (link.b, link.a))
+        if topology.is_host(node)
+    }
+    return {
+        "n_hosts": topology.n_hosts,
+        "n_flows": len(flows),
+        "add_flows_s": wall,
+        "tables": len(engine.graph._dist_to),
+        "attachment_switches": len(attachment),
+        "routing_mb": sum(t.size for t in routing.traces) / 1e6,
+        "add_flows_peak_mb": peak / 1e6,
+    }
+
+
 def test_array_engine_at_least_10x_faster(benchmark):
     result = run_once(benchmark, run_comparison)
     assert result["n_hosts"] >= MIN_HOSTS
@@ -122,6 +176,19 @@ def test_k16_fattree_under_wall_budget(benchmark):
     )
 
 
+def test_k16_routing_tables_per_attachment_switch(benchmark):
+    result = run_once(benchmark, run_routing_memory)
+    assert result["n_hosts"] >= MIN_HOSTS
+    assert result["tables"] <= result["attachment_switches"], (
+        f"{result['tables']} routing tables for "
+        f"{result['attachment_switches']} attachment switches"
+    )
+    assert result["routing_mb"] < ROUTING_BUDGET_MB, (
+        f"routing {result['n_flows']} flows traced "
+        f"{result['routing_mb']:.1f} MB (budget {ROUTING_BUDGET_MB:.0f} MB)"
+    )
+
+
 def main() -> None:
     speed = run_comparison()
     print(f"Figure-11-style scenario at large scale "
@@ -133,6 +200,14 @@ def main() -> None:
     print(f"  speedup:          {speed['speedup']:8.1f}x "
           f"(budget {WALL_BUDGET_S:.0f}s, "
           f"{speed['array_flow_steps']:,} flow-steps)")
+    mem = run_routing_memory()
+    print(f"Routing {mem['n_flows']:,} flows over {mem['n_hosts']} hosts "
+          f"(add_flows under tracemalloc, {mem['add_flows_s']:.2f}s):")
+    print(f"  distance tables:  {mem['tables']:8d} "
+          f"({mem['attachment_switches']} attachment switches)")
+    print(f"  routing memory:   {mem['routing_mb']:8.2f} MB "
+          f"(budget {ROUTING_BUDGET_MB:.0f} MB; add_flows peak "
+          f"{mem['add_flows_peak_mb']:.2f} MB)")
 
 
 if __name__ == "__main__":

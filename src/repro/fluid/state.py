@@ -27,6 +27,21 @@ src, dst, node)``.  Parallel links between the same node pair are
 aggregated into one fluid link with the summed capacity — fluid rates
 have no notion of per-member hashing.
 
+Distance state scales with switches, not destination hosts.  A
+destination ``h`` with exactly one alive neighbour ``s`` (a host on its
+top-of-rack switch) is reached only through ``s``, so ``dist_h(n) =
+dist_s(n) + 1`` for every ``n != h``: the ECMP candidate set at every
+node is the same under ``s``'s table as under ``h``'s.
+:meth:`FluidGraph.path` therefore walks ``src -> s`` over the
+*attachment switch's* BFS table and appends the ``s -> h`` link, still
+hashing with the real ``(flow_id, src, dst, node)``, so the chosen path
+is the one a per-destination BFS would give.  On a k=16 FatTree that is
+one table per ToR (128), not one per destination host (1024).  A
+multi-homed or cut-off destination falls back to a BFS rooted at the
+destination itself (so an unreachable flow still raises and dynamics
+parks it).  Each table is a flat list indexed by node id, ``-1`` for
+unreachable.
+
 The graph is *live*: the network-dynamics subsystem fails, restores and
 degrades individual link members mid-run.  Pooled capacities move, the
 BFS distance cache invalidates, and subsequent :meth:`FluidGraph.path`
@@ -227,7 +242,9 @@ class FluidGraph:
         }
         for a, b in self.links:
             self._neighbors[a].append(b)
-        self._dist_to: dict[int, dict[int, int]] = {}
+        #: BFS distance tables keyed by root node (an attachment switch,
+        #: or a destination with no single alive neighbour).
+        self._dist_to: dict[int, list[int]] = {}
         self._alive_neighbors: dict[int, list[int]] | None = None
 
     def link_arrays(self) -> LinkArrays:
@@ -338,36 +355,42 @@ class FluidGraph:
             self._alive_neighbors = alive
         return alive
 
-    def _distances(self, dst: int) -> dict[int, int]:
-        dist = self._dist_to.get(dst)
+    def _distances(self, root: int) -> list[int]:
+        """Hop distance of every node to ``root`` (``-1``: unreachable)."""
+        dist = self._dist_to.get(root)
         if dist is None:
             neighbors = self._up_neighbors()
-            dist = {dst: 0}
-            frontier = deque([dst])
+            dist = [-1] * len(neighbors)
+            dist[root] = 0
+            frontier = deque([root])
             while frontier:
                 node = frontier.popleft()
                 d = dist[node] + 1
                 for peer in neighbors[node]:
-                    if peer not in dist:
+                    if dist[peer] < 0:
                         dist[peer] = d
                         frontier.append(peer)
-            self._dist_to[dst] = dist
+            self._dist_to[root] = dist
         return dist
 
     def path(self, flow_id: int, src: int, dst: int,
              mtu_wire: int, ack_size: int) -> FluidPath:
         """The flow's ECMP route over the links currently up."""
-        dist = self._distances(dst)
-        if src not in dist:
-            raise ValueError(f"no route from {src} to {dst}")
         neighbors = self._up_neighbors()
+        attach = neighbors[dst]
+        # A single-homed destination is reached only through its one
+        # alive neighbour: walk to that switch over its table, then
+        # take the last hop (see the module docstring).
+        target = attach[0] if len(attach) == 1 and src != dst else dst
+        dist = self._distances(target)
+        if dist[src] < 0:
+            raise ValueError(f"no route from {src} to {dst}")
         links: list[FluidLink] = []
         node = src
-        while node != dst:
+        while node != target:
             d_next = dist[node] - 1
             candidates = [
-                peer for peer in neighbors[node]
-                if dist.get(peer, -1) == d_next
+                peer for peer in neighbors[node] if dist[peer] == d_next
             ]
             if not candidates:
                 raise ValueError(f"no route from {src} to {dst} at {node}")
@@ -379,6 +402,8 @@ class FluidGraph:
                 ]
             links.append(self.links[(node, peer)])
             node = peer
+        if target != dst:
+            links.append(self.links[(target, dst)])
         return FluidPath(links, mtu_wire, ack_size)
 
     # -- introspection -----------------------------------------------------------

@@ -246,18 +246,24 @@ def build_figure(
     backend: str,
     scale: str,
     runner: SweepRunner,
-    seed: int = 1,
+    seed: int | None = None,
     telemetry=None,
 ) -> FigureReport:
     """Sweep + render + score one figure (no files written).
 
-    ``telemetry`` (a :class:`repro.obs.Telemetry`, usually the runner's
-    own) adds per-figure ``figure`` and ``score`` spans around the
-    sweep and the render/score phases.
+    ``seed`` is forwarded to the figure's ``scenarios`` only when given,
+    so the default build keeps each figure's own default seed (fig1's
+    is 3) and its spec hashes.  ``telemetry`` (a
+    :class:`repro.obs.Telemetry`, usually the runner's own) adds
+    per-figure ``figure`` and ``score`` spans around the sweep and the
+    render/score phases.
     """
     entry = REPORT_FIGURES[key]
     effective_backend = backend if entry.fluid_ok else "packet"
-    specs = entry.module.scenarios(scale=scale)
+    if seed is None:
+        specs = entry.module.scenarios(scale=scale)
+    else:
+        specs = entry.module.scenarios(scale=scale, seed=seed)
     if effective_backend != "packet":
         # Cells that already carry a non-packet backend (a grid mixing
         # fluid and hybrid cells) keep it; only default-packet cells are
@@ -628,6 +634,7 @@ def build_report(
     bench_root: str | Path | None = None,
     telemetry=None,
     hybrid_cell: bool = False,
+    seed: int | None = None,
 ) -> Report:
     """Build the reproduction report; returns the in-memory summary.
 
@@ -640,7 +647,8 @@ def build_report(
     the caller) records the build's spans and every run's probe data.
     ``hybrid_cell`` additionally runs one fig11 cell on the hybrid
     backend and writes ``hybrid_fig11.json`` (rides in the
-    ``--fastest`` CI artifact).
+    ``--fastest`` CI artifact).  ``seed`` (default: each figure's own)
+    is passed to every figure's grid, as :func:`build_figure` does.
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -652,7 +660,7 @@ def build_report(
     started = time.perf_counter()
     built = [
         build_figure(key, backend=backend, scale=scale, runner=runner,
-                     telemetry=telemetry)
+                     seed=seed, telemetry=telemetry)
         for key in figures
     ]
 

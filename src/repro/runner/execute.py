@@ -449,7 +449,9 @@ def execute_spec(spec: ScenarioSpec, telemetry: bool = False,
     probes find it via the ambient context); its drained records ride
     back on ``record.telemetry`` for the sweep's sink.  On an exception
     or a deadline overrun the flight recorder dumps the last samples to
-    stderr before the record (or the exception) leaves the worker.
+    stderr before the record (or the exception) leaves the worker.  A
+    ``flows`` cell that stops at its explicit ``workload["deadline"]``
+    is bounded by design: it emits ``run.horizon_reached`` and no dump.
 
     ``decisions=True`` (implies telemetry) additionally attaches a
     :class:`~repro.obs.DecisionTap` — the execution layer hands it to
@@ -485,8 +487,13 @@ def execute_spec(spec: ScenarioSpec, telemetry: bool = False,
         raise
     record.wall_time_s = time.perf_counter() - started
     if not record.completed:
-        tel.event("run.deadline_overrun", sim_ns=record.duration_ns)
-        tel.flight.dump("deadline overrun", spec.label or spec.spec_hash)
+        if spec.program == "flows":
+            # The explicit ``workload["deadline"]`` is the run's horizon
+            # by design (fig13's time series), not an incident.
+            tel.event("run.horizon_reached", sim_ns=record.duration_ns)
+        else:
+            tel.event("run.deadline_overrun", sim_ns=record.duration_ns)
+            tel.flight.dump("deadline overrun", spec.label or spec.spec_hash)
     if tel.decisions is not None:
         tel.export_decisions(tel.decisions)
     record.telemetry = tel.drain()

@@ -60,6 +60,21 @@ def tiny_spec(**overrides) -> ScenarioSpec:
     return spec.replaced(**overrides) if overrides else spec
 
 
+def tiny_load_spec(**overrides) -> ScenarioSpec:
+    spec = ScenarioSpec(
+        program="load",
+        topology="star",
+        topology_params={"n_hosts": 3, "host_rate": "10Gbps"},
+        workload={"cdf": "fbhadoop", "size_scale": 0.1, "load": 0.3,
+                  "n_flows": 20},
+        config={"base_rtt": 9 * US},
+        seed=1,
+        scale="bench",
+        label="tiny-load",
+    )
+    return spec.replaced(**overrides) if overrides else spec
+
+
 def assert_all_valid(records):
     for record in records:
         # Round-trip through JSON so tuples/numpy scalars would surface.
@@ -449,13 +464,42 @@ class TestExecuteSpecTelemetry:
         assert off.duration_ns == on.duration_ns
 
     def test_deadline_overrun_dumps_flight_recorder(self, capsys):
-        spec = tiny_spec(**{"workload.deadline": 10_000.0})
+        # A load cell whose drain budget (deadline_factor x the arrival
+        # window) runs out before its flows finish: a real overrun.
+        spec = tiny_load_spec(**{"workload.deadline_factor": 0.01})
         record = execute_spec(spec, telemetry=True)
         assert not record.completed
         err = capsys.readouterr().err
-        assert "--- flight recorder [tiny] (deadline overrun" in err
+        assert "--- flight recorder [tiny-load] (deadline overrun" in err
         events = [r for r in record.telemetry if r["kind"] == "event"]
         assert any(r["name"] == "run.deadline_overrun" for r in events)
+        assert not any(r["name"] == "run.horizon_reached" for r in events)
+
+    @pytest.mark.parametrize("backend", ["packet", "fluid"])
+    def test_explicit_horizon_is_not_an_overrun(self, backend, capsys):
+        # A flows cell stopping at its explicit deadline is bounded by
+        # design (every fig13 cell): an event, no incident, no dump.
+        spec = tiny_spec(backend=backend, **{"workload.deadline": 10_000.0})
+        record = execute_spec(spec, telemetry=True)
+        assert not record.completed
+        assert "flight recorder" not in capsys.readouterr().err
+        names = {r["name"] for r in record.telemetry if r["kind"] == "event"}
+        assert "run.horizon_reached" in names
+        assert "run.deadline_overrun" not in names
+
+    @pytest.mark.parametrize("backend", ["packet", "fluid"])
+    def test_fig13_cells_raise_no_incident(self, backend, capsys):
+        from repro.experiments import figure13
+
+        for spec in figure13.scenarios(scale="bench"):
+            record = execute_spec(spec.replaced(backend=backend),
+                                  telemetry=True)
+            assert not record.completed
+            names = {r["name"] for r in record.telemetry
+                     if r["kind"] == "event"}
+            assert names & {"run.deadline_overrun", "run.exception"} == set()
+            assert "run.horizon_reached" in names
+        assert "flight recorder" not in capsys.readouterr().err
 
 
 class TestSweepTelemetry:

@@ -53,6 +53,70 @@ class TestResolveFigures:
         assert not REPORT_FIGURES["fig12"].fluid_ok
 
 
+class _SpecCapture(Exception):
+    """Raised by :class:`_CapturingRunner` to stop a build at the sweep."""
+
+
+class _CapturingRunner:
+    """A runner stand-in that records the specs it is asked to run."""
+
+    def __init__(self):
+        self.specs = None
+
+    def run(self, specs):
+        self.specs = list(specs)
+        raise _SpecCapture
+
+
+def _figure_specs(key, **kwargs):
+    from repro.report.build import build_figure
+
+    runner = _CapturingRunner()
+    with pytest.raises(_SpecCapture):
+        build_figure(key, backend="packet", scale="bench", runner=runner,
+                     **kwargs)
+    return runner.specs
+
+
+class TestBuildFigureSeed:
+    """``build_figure(seed=)`` reaches the grid; the default does not move."""
+
+    @pytest.mark.parametrize("key", ["fig1", "fig11", "fig13"])
+    def test_default_keeps_each_figures_own_seed(self, key):
+        module = REPORT_FIGURES[key].module
+        default = _figure_specs(key)
+        assert [s.spec_hash for s in default] == [
+            s.spec_hash for s in module.scenarios(scale="bench")
+        ]
+
+    def test_fig1_default_stays_seed_3(self):
+        assert {s.seed for s in _figure_specs("fig1")} == {3}
+
+    @pytest.mark.parametrize("key", ["fig1", "fig11", "fig13"])
+    def test_seed_is_forwarded(self, key):
+        module = REPORT_FIGURES[key].module
+        seeded = _figure_specs(key, seed=2)
+        assert {s.seed for s in seeded} == {2}
+        assert [s.spec_hash for s in seeded] == [
+            s.spec_hash for s in module.scenarios(scale="bench", seed=2)
+        ]
+
+    def test_build_report_threads_seed(self, tmp_path, monkeypatch):
+        import repro.report.build as build
+
+        seen = []
+
+        def fake_build_figure(key, **kwargs):
+            seen.append(kwargs["seed"])
+            raise _SpecCapture
+
+        monkeypatch.setattr(build, "build_figure", fake_build_figure)
+        for seed in (None, 4):
+            with pytest.raises(_SpecCapture):
+                build.build_report(["fig13"], out=tmp_path / "out", seed=seed)
+        assert seen == [None, 4]
+
+
 class TestBenchTrajectory:
     def test_reads_snapshots(self, tmp_path):
         for pr, wall in ((3, 1.5), (4, 1.2)):
