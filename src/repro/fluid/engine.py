@@ -16,8 +16,8 @@ The model per step (semantics identical to the scalar reference in
    over the flows' flattened path-link rows); oversubscribed links
    throttle proportionally;
 3. the throttle cascades along each flow's path (an upstream bottleneck
-   shields downstream links) — an exclusive per-path prefix-min, run as
-   one ``np.minimum.accumulate`` along the hop axis;
+   shields downstream links) — an exclusive per-path prefix-min, run
+   one hop column at a time;
 4. link queues integrate ``(arrival - capacity) x dt`` and the
    cumulative ``tx/rx`` byte registers advance — element-wise over the
    links currently touched by live flows (untouched queues freeze,
@@ -28,15 +28,36 @@ The model per step (semantics identical to the scalar reference in
    CNP stream, RTT echo, ECN marks) against the *real* ``core/``
    algorithm, producing the next step's rate.
 
-Paths are stored as a padded hop matrix: row ``i`` of ``_hops`` holds
+Paths are stored as a padded hop matrix: row ``i`` of ``_hopm`` holds
 flow ``i``'s link indices, right-padded with a *dummy* link row (index
 ``L``) whose registers are rigged so padding is arithmetically inert —
 scale 1.0, queueing delay 0.0, mark probability 0.0, and arrival
-contributions land on the dummy row and are discarded.  Admitting a
-flow therefore writes one row; no index structures rebuild.  A small
-CSR block (``_il``/``_il_off``) additionally tracks each flow's INT
+contributions land on the dummy row and are discarded.  The matrix is
+exactly as wide as the longest path admitted so far (6 columns on a
+FatTree), growing when a longer one arrives.  Admitting a flow
+therefore writes one row; no index structures rebuild.  A small CSR
+block (``_il``/``_il_off``) additionally tracks each flow's INT
 telemetry links (switch egress with capacity > 0) for schemes that
 read per-hop state, rebuilt whenever dynamics change capacities.
+
+Each step touches only the live working set:
+
+* per-link math (throttle factor, queueing delay, ECN mark
+  probability) runs on the *touched* links — those carrying a live
+  flow — and is scattered into ``L + 1``-long lookups whose other
+  entries stay inert.  Only dead rows read an untouched link, and a
+  dead row requests, delivers and contributes nothing;
+* the touched set is kept incrementally: per-link live-flow counts rise
+  on admission and fall on completion, and the touched index list is
+  re-listed only when some count crosses 0 <-> 1;
+* dead rows are compacted away in place (array gathers over the row
+  arrays, the hop matrix and the INT block) once they reach a quarter
+  of the row block.  Capacity changes still rebuild every row from its
+  flow object, because they re-filter the INT links.
+
+Per-path reductions run column by column, left to right: the queueing
+delay sum (:func:`_path_sum`) and the mark product must round exactly
+as the scalar engine's per-hop loops do.
 
 CC adapters fire once per accumulated RTT: arrival- and
 event-shortened mini-steps accumulate ``elapsed``/``delivered``/
@@ -87,6 +108,24 @@ from .state import FluidGraph, FluidPath
 _EPS = 1e-9
 _INF = float("inf")
 _NO_HOPS: list[IntHop] = []
+#: The float row arrays (beside ``_alive``, ``_hopm`` and the INT block).
+_ROW_FIELDS = (
+    "_rate", "_window", "_line", "_remaining", "_brtt",
+    "_elapsed", "_dacc", "_macc",
+)
+
+
+def _path_sum(per_hop: np.ndarray) -> np.ndarray:
+    """Sum each row of a per-hop matrix left to right, hop by hop.
+
+    This is the order of :meth:`FluidPath.queue_delay`'s Python loop.
+    ``ndarray.sum(axis=1)`` is not: from 8 columns on, numpy sums rows
+    as a pairwise tree, which can differ in the last bit.
+    """
+    total = np.zeros(per_hop.shape[0])
+    for j in range(per_hop.shape[1]):
+        total += per_hop[:, j]
+    return total
 
 
 class FluidFlow:
@@ -235,10 +274,14 @@ class FluidEngine:
         self._elapsed = np.zeros(cap)           # ns since last CC fire
         self._dacc = np.zeros(cap)              # delivered since last fire
         self._macc = np.zeros(cap)              # mark-weighted bytes since
-        self._H = 8                             # hop-matrix width
+        self._H = 0                             # hop width: longest path
         self._hopm = np.full((cap, self._H), self._dummy, dtype=np.int64)
         self._il_off = np.zeros(cap + 1, dtype=np.int64)
         self._il = np.zeros(256, dtype=np.int64)
+        #: Live rows per link (the dummy slot absorbs padding) and the
+        #: links with at least one: the touched set, kept incrementally.
+        self._link_flows = np.zeros(self._dummy + 1, dtype=np.int64)
+        self._touched = np.zeros(self._dummy + 1, dtype=bool)
         self._touched_idx = np.zeros(0, dtype=np.int64)
         self._touched_eg_idx = np.zeros(0, dtype=np.int64)
         self._touched_eg_mask = np.zeros(0, dtype=bool)
@@ -322,10 +365,7 @@ class FluidEngine:
         if need <= cap:
             return
         new = max(need, cap * 2)
-        for name in (
-            "_rate", "_window", "_line", "_remaining", "_brtt",
-            "_elapsed", "_dacc", "_macc",
-        ):
+        for name in _ROW_FIELDS:
             a = getattr(self, name)
             b = np.zeros(new)
             b[:cap] = a
@@ -370,6 +410,12 @@ class FluidEngine:
         row = self._hopm[n]
         row[:k] = [l.index for l in links]
         row[k:] = self._dummy
+        hops = row[:k]
+        counts = self._link_flows
+        counts[hops] += 1
+        if (counts[hops] == 1).any():
+            self._touched[hops] = True
+            self._touched_stale = True
         if self._needs_int:
             # Telemetry links: switch egress with capacity > 0 (a cut
             # edge still on this flow's pre-reconvergence path returns
@@ -420,23 +466,67 @@ class FluidEngine:
         self._il_nnz = 0
         self._alive[:] = False
         self._il_off[0] = 0
+        self._link_flows[:] = 0
+        self._touched[:] = False
         for flow in flows:
             self._append_row(flow)
         self._touched_stale = True
 
     def _rebuild_rows(self) -> None:
-        """Save + rebuild the alive rows (after a capacity change)."""
+        """Save + rebuild the alive rows (after a capacity change, which
+        must re-filter every row's INT links)."""
         self._save_rows()
         alive = self._alive
         self._set_rows([f for i, f in enumerate(self._flows) if alive[i]])
 
-    def _retouch(self) -> None:
-        """Recompute the set of links carrying at least one live flow."""
+    def _compact_rows(self) -> None:
+        """Drop dead rows in place, keeping the live rows' order.
+
+        Pure gathers: the row arrays, the hop matrix and the INT CSR
+        block shift down over the dead rows; the per-link live counts
+        already exclude them, so the touched set is unchanged.
+        """
         n = self._n
-        mask = np.zeros(self._dummy + 1, dtype=bool)
-        if n:
-            mask[self._hopm[:n][self._alive[:n]].ravel()] = True
-        ti = np.flatnonzero(mask[:self._dummy])
+        keep = np.flatnonzero(self._alive[:n])
+        m = keep.size
+        for name in _ROW_FIELDS:
+            a = getattr(self, name)
+            a[:m] = a[keep]
+        self._alive[:m] = True
+        self._alive[m:n] = False
+        self._hopm[:m] = self._hopm[keep]
+        flows = self._flows
+        self._flows = [flows[i] for i in keep.tolist()]
+        if self._needs_int:
+            off = self._il_off
+            off0 = off[keep]
+            cnt = off[keep + 1] - off0
+            ends = np.cumsum(cnt)
+            nnz = int(ends[-1]) if m else 0
+            pos = (
+                np.arange(nnz, dtype=np.int64)
+                - np.repeat(ends - cnt, cnt) + np.repeat(off0, cnt)
+            )
+            self._il[:nnz] = self._il[pos]
+            off[1:m + 1] = ends
+            self._il_nnz = nnz
+        self._n = m
+
+    def _release_links(self, rows: np.ndarray) -> None:
+        """Decrement the live counts of finished ``rows``' links."""
+        hops = self._hopm[rows].ravel()
+        counts = self._link_flows
+        np.subtract.at(counts, hops, 1)
+        counts[self._dummy] = 0
+        freed = counts[hops] == 0
+        freed &= self._touched[hops]    # the dummy slot is never touched
+        if freed.any():
+            self._touched[hops[freed]] = False
+            self._touched_stale = True
+
+    def _retouch(self) -> None:
+        """Re-list the links carrying at least one live flow."""
+        ti = np.flatnonzero(self._touched)
         self._touched_idx = ti
         em = self.arrays.egress[ti]
         self._touched_eg_mask = em
@@ -592,7 +682,6 @@ class FluidEngine:
                     self._parked.append(flow)
                 else:
                     self._append_row(flow)
-                    self._touched_stale = True
             if self.now >= deadline - _EPS:
                 break
             next_start = (
@@ -646,10 +735,16 @@ class FluidEngine:
         A = self.arrays
         L = self._dummy
         n = self._n
+        H = self._H
         alive = self._alive[:n]
         hopm = self._hopm[:n]
         remaining = self._remaining[:n]
         n_active = self._alive_n
+        # Per-link math runs on the touched links ``ti`` only, scattered
+        # into (L+1)-long lookups whose other entries stay inert: only
+        # dead rows read an untouched link, and a dead row's request,
+        # delivery and every contribution are 0.
+        ti = self._touched_idx
 
         # 1. requested rates (window-limited schemes pace at W/T).
         req = np.minimum(self._rate[:n], self._window[:n] / self.base_rtt)
@@ -672,36 +767,41 @@ class FluidEngine:
             if self._ext_bytes is None:
                 self._ext_bytes = np.zeros(L)
             self._ext_bytes += ext[:L] * dt
+        cap_t = cap[ti]
         flat = hopm.ravel()
-        req_h = np.broadcast_to(req[:, None], hopm.shape)
-        arrival = np.bincount(flat, weights=req_h.ravel(), minlength=L + 1)
+        arrival = np.bincount(flat, weights=np.repeat(req, H), minlength=L + 1)
+        arr_t = arrival[ti]
         scale = np.ones(L + 1)
-        over = arrival[:L] > cap
-        np.divide(cap, arrival[:L], out=scale[:L], where=over)
+        scale[ti] = np.divide(
+            cap_t, arr_t, out=np.ones(ti.size), where=arr_t > cap_t
+        )
         # 3. cascade the throttle along each path (upstream bottlenecks
-        #    shield downstream links): exclusive prefix-min per row.
+        #    shield downstream links): exclusive prefix-min per row, one
+        #    hop column at a time.
         sc = scale[hopm]
-        cum = np.minimum.accumulate(sc, axis=1)
-        w = np.empty_like(cum)
+        w = np.empty((n, H))
         w[:, 0] = req
-        np.multiply(cum[:, :-1], req[:, None], out=w[:, 1:])
-        achieved = req * cum[:, -1]
+        cum = sc[:, 0].copy()
+        for j in range(1, H):
+            np.multiply(cum, req, out=w[:, j])
+            np.minimum(cum, sc[:, j], out=cum)
+        achieved = req * cum
         throttled = np.bincount(flat, weights=w.ravel(), minlength=L + 1)
         # 4. integrate link state on the touched subset (untouched queues
         #    freeze, matching the scalar engine).  Only switch egress
         #    queues grow: a host's own uplink is paced at the source, so
         #    it never queues or drops — matching the packet NIC, which
         #    contributes no INT hop either.
-        ti = self._touched_idx
         te = self._touched_eg_idx
         em = self._touched_eg_mask
         inflow = throttled[ti] * dt
         qt = A.queue[ti]
-        tx = qt + inflow
-        np.minimum(tx, cap[ti] * dt, out=tx)
+        offered = qt + inflow
+        tx = np.minimum(offered, cap_t * dt)
         A.tx[ti] += tx
         A.rx[ti] += inflow
-        q = qt[em] + inflow[em] - tx[em]
+        offered -= tx
+        q = offered[em]
         buf = A.buffer[te]
         excess = q - buf
         over_b = excess > 0.0
@@ -719,10 +819,12 @@ class FluidEngine:
         done = delivered >= (remaining - 1e-6)
         done &= alive
         extq = self.ext_qlen
-        qc = A.queue if extq is None else A.queue + extq[:L]
+        qc_t = A.queue[ti] if extq is None else A.queue[ti] + extq[ti]
         qdiv = np.zeros(L + 1)
-        np.divide(qc, cap, out=qdiv[:L], where=cap > 0.0)
-        qdelay = qdiv[hopm].sum(axis=1)
+        qdiv[ti] = np.divide(
+            qc_t, cap_t, out=np.zeros(ti.size), where=cap_t > 0.0
+        )
+        qdelay = _path_sum(qdiv[hopm])
         goodput = self._goodput
         flows = self._flows
         any_done = done.any()
@@ -750,7 +852,7 @@ class FluidEngine:
                 ))
             alive[idxs] = False
             self._alive_n -= idxs.size
-            self._touched_stale = True
+            self._release_links(idxs)
         remaining -= delivered
         if any_done:
             remaining[idxs] = 0.0
@@ -775,18 +877,24 @@ class FluidEngine:
         if self._ecn_policy is not None:
             if self._ecn_stale:
                 self._refresh_ecn()
-            one_minus = np.ones(L + 1)
+            kmin = self._ecn_kmin[ti]
+            span = self._ecn_span[ti]
             p = np.divide(
-                self._ecn_pmax * (qc - self._ecn_kmin), self._ecn_span,
-                out=np.zeros(L), where=self._ecn_span > 0.0,
+                self._ecn_pmax[ti] * (qc_t - kmin), span,
+                out=np.zeros(ti.size), where=span > 0.0,
             )
-            p[qc <= self._ecn_kmin] = 0.0
-            p[qc >= self._ecn_kmax] = 1.0
-            np.subtract(1.0, p, out=one_minus[:L])
+            p[qc_t <= kmin] = 0.0
+            p[qc_t >= self._ecn_kmax[ti]] = 1.0
+            one_minus = np.ones(L + 1)
+            one_minus[ti] = 1.0 - p
             # Host links and dead links carry p == 0, so the product
             # over *all* path hops equals the scalar engine's product
             # over telemetry links only (1.0 factors are exact).
-            mark_flow = 1.0 - one_minus[hopm].prod(axis=1)
+            per_hop = one_minus[hopm]
+            unmarked = per_hop[:, 0].copy()
+            for j in range(1, H):
+                unmarked *= per_hop[:, j]
+            mark_flow = 1.0 - unmarked
             macc += mark_flow * delivered
         fire = alive & (elapsed >= self._fire_at)
         if fire.any():
@@ -805,10 +913,10 @@ class FluidEngine:
             for series, qlen in zip(self._sample_series, qv):
                 series["times"].append(self.now)
                 series["qlens"].append(qlen)
-        # Compact dead rows away once they dominate the arrays.
+        # Compact dead rows away once they are a quarter of the block.
         dead = self._n - self._alive_n
-        if dead >= 64 and dead * 2 >= self._n:
-            self._rebuild_rows()
+        if dead >= 16 and dead * 4 >= self._n:
+            self._compact_rows()
 
     def _fire(
         self,

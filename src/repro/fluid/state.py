@@ -152,7 +152,13 @@ class FluidPath:
         self.mtu_latency = forward
 
     def queue_delay(self) -> float:
-        return sum(l.queue_delay() for l in self.links)
+        # An explicit left-to-right fold: ``sum()`` of floats is
+        # compensated from Python 3.12 on, and the array engine pins
+        # this order bit for bit.
+        total = 0.0
+        for l in self.links:
+            total += l.queue_delay()
+        return total
 
 
 class LinkArrays:

@@ -14,7 +14,8 @@ to honour:
   sim-time/wall-time ratio.
 * :class:`FluidProbe` — the fluid engine's step loop reports each
   ``_advance(dt)`` kernel's wall time; every ``every``-th step the
-  probe samples active/parked flow population, flow-steps/s, and a
+  probe samples active/parked flow population, the working set the
+  kernels sweep (row block, touched links), flow-steps/s, and a
   link-saturation histogram over the struct-of-arrays registers.
 
 Both emit their lifetime totals as counter blocks in ``finish``.
@@ -106,6 +107,11 @@ class FluidProbe:
         tel = self.tel
         now = engine.now
         tel.gauge("fluid.active_flows", engine._alive_n, sim_ns=now)
+        # The working set the step kernels sweep: the row block (live
+        # rows plus dead ones awaiting compaction) and the touched links.
+        tel.gauge("fluid.rows", engine._n, sim_ns=now)
+        tel.gauge("fluid.touched_links", int(engine._touched.sum()),
+                  sim_ns=now)
         tel.gauge("fluid.parked_flows", len(engine._parked), sim_ns=now)
         if self.kernel_s > 0:
             tel.gauge("fluid.flow_steps_per_s",

@@ -448,6 +448,42 @@ class TestExecuteSpecTelemetry:
         spans = {r["name"] for r in record.telemetry if r["kind"] == "span"}
         assert {"setup", "run", "collect", "total"} <= spans
 
+    def test_fluid_probe_samples_working_set(self):
+        # Sampled mid-run, the working-set gauges equal a recount over
+        # the live rows: the row block includes not-yet-compacted dead
+        # rows, the touched links are those some live row routes over.
+        from repro.fluid import FluidEngine
+        from repro.obs.probes import FluidProbe
+        from repro.sim.flow import FlowSpec
+        from repro.topology.fattree import bench_fattree
+
+        engine = FluidEngine(bench_fattree(), cc_name="hpcc",
+                             base_rtt=9 * US)
+        engine.add_flows(
+            FlowSpec(i, src=i % 8, dst=8 + (i * 3) % 8, size=200_000,
+                     start_time=i * 5_000.0)
+            for i in range(40)
+        )
+        tel = Telemetry(run_id="r1")
+        probe = FluidProbe(tel)
+        seen = []
+        for deadline in (60_000.0, 120_000.0, 200_000.0):
+            engine.run(deadline=deadline)
+            probe.sample(engine)
+            alive = engine._alive[:engine._n]
+            live_links = {
+                link.index for flow, a in zip(engine._flows, alive) if a
+                for link in flow.path.links
+            }
+            records = tel.drain()
+            assert_all_valid(records)
+            gauges = {r["name"]: r["value"] for r in records
+                      if r["kind"] == "gauge"}
+            assert gauges["fluid.rows"] == engine._n >= engine._alive_n
+            assert gauges["fluid.touched_links"] == len(live_links)
+            seen.append(gauges["fluid.touched_links"])
+        assert max(seen) > 0
+
     def test_fluid_results_identical_on_and_off(self):
         spec = tiny_spec(backend="fluid")
         off = execute_spec(spec)
