@@ -2,7 +2,8 @@
 
 :class:`HybridEngine` owns an already-populated packet ``Network``
 (foreground flows) and ``FluidEngine`` (background flows) over the same
-topology and advances them in lockstep *epochs*: per epoch the coupler
+topology, both built by :class:`~repro.hybrid.programs.HybridPlane`,
+and advances them in lockstep *epochs*: per epoch the coupler
 publishes the fluid registers to the packet half, the packet calendar
 queue runs to the epoch boundary, the measured foreground rates are
 folded back into the fluid capacity terms, and the fluid step loop runs
@@ -28,8 +29,8 @@ class HybridEngine:
     before construction; the constructor attaches the coupler's link
     views, so a freshly constructed ``HybridEngine`` already alters the
     packet half's ECN/INT/serialization inputs.  Degenerate partitions
-    never construct one — ``repro.hybrid.programs`` delegates those
-    straight to the pure backends.
+    never construct one — :class:`~repro.hybrid.programs.HybridPlane`
+    runs those on the pure packet or fluid plane.
     """
 
     def __init__(

@@ -10,7 +10,7 @@ surface for everything instrumented code needs:
 * :class:`JsonlSink` / :class:`MemorySink` /
   :class:`~repro.obs.sinks.FlightRecorder` — where records go.
 * :func:`instrument_simulator` / :func:`instrument_fluid` — attach the
-  engine probes.
+  engine probes; :func:`probing` scopes one to a block.
 * :class:`DecisionTap` (re-exported from :mod:`repro.core.base`) and
   :mod:`repro.obs.divergence` — the control-loop flight recorder and
   the packet-vs-fluid decision-timeline analyzer behind
@@ -27,7 +27,7 @@ runner take branch-free (or single-``None``-check) paths; see
 from ..core.base import DecisionTap, FlowTrace
 from .divergence import compare_decisions, decision_records, format_divergence
 from .probes import (FluidProbe, SimProbe, instrument_fluid,
-                     instrument_simulator)
+                     instrument_simulator, probing)
 from .schema import SCHEMA_NAME, SCHEMA_VERSION, meta_record, validate_record
 from .sinks import FlightRecorder, JsonlSink, MemorySink
 from .telemetry import CounterBlock, Telemetry, current, maybe_span, using
@@ -37,6 +37,7 @@ __all__ = [
     "FluidProbe", "JsonlSink", "MemorySink", "SCHEMA_NAME", "SCHEMA_VERSION",
     "SimProbe", "Telemetry", "compare_decisions", "current",
     "decision_records", "format_divergence", "instrument_fluid",
-    "instrument_simulator", "maybe_span", "meta_record", "using",
+    "instrument_simulator", "maybe_span", "meta_record", "probing",
+    "using",
     "validate_record",
 ]

@@ -23,7 +23,9 @@ Both emit their lifetime totals as counter blocks in ``finish``.
 
 from __future__ import annotations
 
-from .telemetry import Telemetry
+from contextlib import contextmanager
+
+from .telemetry import Telemetry, current
 
 #: Link-saturation buckets: egress-queue occupancy as a fraction of the
 #: configured buffer.  Chosen so "is anything congested, and how badly"
@@ -159,3 +161,22 @@ def instrument_fluid(engine, tel: Telemetry,
     probe = FluidProbe(tel, every=every)
     engine.telemetry = probe
     return probe
+
+
+@contextmanager
+def probing(target, instrument):
+    """Probe ``target`` for the block under the ambient telemetry.
+
+    ``instrument`` is :func:`instrument_simulator` (``target`` a
+    simulator) or :func:`instrument_fluid` (a fluid engine); the probe
+    is finished and detached on exit.  With no ambient telemetry this
+    is a no-op.
+    """
+    tel = current()
+    probe = instrument(target, tel) if tel is not None else None
+    try:
+        yield
+    finally:
+        if probe is not None:
+            probe.finish(target)
+            target.telemetry = None

@@ -2,11 +2,17 @@
 
 The **programs** are the generic execution recipes every figure is built
 from.  A program takes a :class:`ScenarioSpec` (pure data), builds its
-own ``Network``, runs it, and returns a :class:`RunRecord` (pure data
+own simulation, runs it, and returns a :class:`RunRecord` (pure data
 again) — nothing live crosses the boundary, which is what lets
 :class:`SweepRunner` fan specs out over a ``ProcessPoolExecutor``.
 Because every run is rebuilt from the spec's seed, serial and parallel
 sweeps produce byte-identical results.
+
+The network programs, ``load`` and ``flows``, are written once against
+a small data-plane protocol (build, start, run to a deadline, collect;
+see :class:`~repro.runner.harness.Collected`) that the packet, fluid and
+hybrid backends each implement (:data:`PLANES`).  They differ only in
+how they build their flow population.
 
 Telemetry (``repro.obs``) is opt-in per sweep: :func:`execute_spec`
 builds a run-scoped memory-sink :class:`~repro.obs.Telemetry` when
@@ -19,6 +25,7 @@ field — into its own file-backed instance.
 
 from __future__ import annotations
 
+import importlib
 import pickle
 import time
 from collections import deque
@@ -32,15 +39,16 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     from .journal import SweepJournal
 
-from ..dynamics import PacketDynamicsDriver, Timeline, burst_flow_specs
+from ..dynamics import Timeline, burst_flow_specs
 from ..obs import Telemetry, maybe_span, using
+from ..sim.flow import FlowSpec
 from ..topology.base import Topology
 from ..topology.fattree import FatTreeSpec, fattree
 from ..topology.simple import dual_trunk, dumbbell, intree, parking_lot, star
 from ..topology.testbed import testbed
 from ..workloads.fbhadoop import fbhadoop
 from ..workloads.websearch import websearch
-from .harness import RunResult, load_experiment, run_workload, setup_network
+from .harness import generate_load_flows
 from .results import RunCache, RunRecord
 from .spec import ScenarioSpec
 
@@ -64,14 +72,8 @@ CDFS: dict[str, Callable] = {
 
 def build_topology(spec: ScenarioSpec) -> Topology:
     """Instantiate the spec's topology (cheap: no simulator involved)."""
-    try:
-        factory = TOPOLOGIES[spec.topology]
-    except KeyError:
-        known = ", ".join(sorted(TOPOLOGIES))
-        raise ValueError(
-            f"unknown topology {spec.topology!r}; known: {known}"
-        ) from None
-    return factory(**spec.topology_params)
+    _require("topology", spec.topology, TOPOLOGIES)
+    return TOPOLOGIES[spec.topology](**spec.topology_params)
 
 
 def workload_cdf(workload: dict):
@@ -79,75 +81,7 @@ def workload_cdf(workload: dict):
     return cdf.scaled(workload.get("size_scale", 1.0))
 
 
-# -- payload builders -------------------------------------------------------------
-
-def _fct_payload(result: RunResult) -> list[dict]:
-    return [
-        {
-            "flow_id": r.spec.flow_id, "src": r.spec.src, "dst": r.spec.dst,
-            "size": r.spec.size, "start_time": r.spec.start_time,
-            "tag": r.spec.tag, "start": r.start, "finish": r.finish,
-            "ideal": r.ideal,
-        }
-        for r in result.records
-    ]
-
-
-def _queue_payload(result: RunResult) -> dict[str, dict]:
-    if result.sampler is None:
-        return {}
-    return {
-        label: {"times": list(result.sampler.times), "qlens": list(values)}
-        for label, values in result.sampler.samples.items()
-    }
-
-
-def _base_extras(spec: ScenarioSpec, result: RunResult, net) -> dict:
-    tracker = net.metrics.pause_tracker
-    extras: dict = {
-        "n_hosts": net.topology.n_hosts,
-        "header_bytes": net.header,
-        "drops": net.metrics.drop_count,
-        "pause_count": tracker.pause_count(),
-        "pause_total_ns": tracker.total_pause_time(None),
-        "switch_queued_bytes": {
-            str(sw): switch.total_queued_bytes()
-            for sw, switch in net.switches.items()
-        },
-    }
-    if spec.measure.get("pause_intervals"):
-        extras["pause_intervals"] = [
-            [iv.device, iv.port, iv.start, iv.end] for iv in tracker.intervals
-        ]
-        extras["origin_of"] = [
-            [device, port, peer]
-            for (device, port), peer in net.origin_of.items()
-        ]
-    if net.metrics.goodput is not None:
-        extras["goodput"] = {
-            "bin_ns": net.metrics.goodput.bin_ns,
-            "bins": {
-                str(flow_id): {str(idx): n for idx, n in bins.items()}
-                for flow_id, bins in net.metrics.goodput._bins.items()
-            },
-        }
-    return extras
-
-
-def _finish_record(spec: ScenarioSpec, result: RunResult, net,
-                   extras: dict) -> RunRecord:
-    return RunRecord(
-        spec=spec,
-        fct=_fct_payload(result),
-        queues=_queue_payload(result),
-        extras=extras,
-        events_processed=net.sim.events_processed,
-        duration_ns=result.duration,
-        completed=result.completed,
-    )
-
-
-# -- programs ---------------------------------------------------------------------
+# -- the network programs ---------------------------------------------------------
 
 def spec_timeline(spec: ScenarioSpec) -> Timeline:
     """The spec's dynamics timeline, legacy ``workload["events"]`` included.
@@ -162,140 +96,133 @@ def spec_timeline(spec: ScenarioSpec) -> Timeline:
     return Timeline.for_spec(spec.dynamics, spec.workload.get("events"))
 
 
-def _run_load(spec: ScenarioSpec) -> RunRecord:
-    """Poisson background traffic from a size CDF, optional incast bursts.
+#: Backend name -> ``(module, class)`` of its data plane (the protocol
+#: is documented on :class:`~repro.runner.harness.Collected`).  Imported
+#: on first use, so ``repro.runner`` does not pull in ``repro.fluid`` or
+#: ``repro.hybrid``.  A backend missing here raises instead of silently
+#: falling through to the packet engine.
+PLANES: dict[str, tuple[str, str]] = {
+    "packet": ("repro.runner.harness", "PacketPlane"),
+    "fluid": ("repro.fluid.programs", "FluidPlane"),
+    "hybrid": ("repro.hybrid.programs", "HybridPlane"),
+}
+
+
+def _require(kind: str, name: str, registry) -> None:
+    """Raise ``unknown <kind>`` naming the known entries of ``registry``."""
+    if name not in registry:
+        known = ", ".join(sorted(registry))
+        raise ValueError(f"unknown {kind} {name!r}; known: {known}")
+
+
+def data_plane(backend: str) -> type:
+    """The data-plane class of ``backend``; raises on unknown names."""
+    _require("backend", backend, PLANES)
+    module, name = PLANES[backend]
+    return getattr(importlib.import_module(module), name)
+
+
+def _load_population(spec: ScenarioSpec, topology: Topology,
+                     wire_factor: float) -> tuple[list[FlowSpec], float]:
+    """``load``: Poisson background from a size CDF, optional incasts.
 
     workload: ``{"cdf", "size_scale", "load", "n_flows", "incast"?,
-    "deadline_factor"?}``; measure: ``{"sample_interval"?,
-    "pause_intervals"?}``; config: ``NetworkConfig`` overrides
-    (``base_rtt`` required for paper fidelity); dynamics: a timeline of
-    mid-run events (see ``repro.dynamics``).
+    "deadline_factor"?}``; the run gets ``deadline_factor`` (2.5) times
+    the workload duration to drain.
     """
-    topo = build_topology(spec)
     workload = spec.workload
-    config = dict(spec.config)
-    base_rtt = config.pop("base_rtt", None)
-    result = load_experiment(
-        topo, spec.cc, workload_cdf(workload),
+    flows, duration = generate_load_flows(
+        topology, workload_cdf(workload),
         load=workload["load"], n_flows=workload["n_flows"],
-        base_rtt=base_rtt, seed=spec.seed,
+        seed=spec.seed, wire_overhead=wire_factor,
         incast=workload.get("incast"),
-        deadline_factor=workload.get("deadline_factor", 2.5),
-        sample_interval=spec.measure.get("sample_interval"),
-        timeline=spec_timeline(spec),
-        **config,
     )
-    net = result.net
-    with maybe_span("collect"):
-        extras = _base_extras(spec, result, net)
-        if result.dynamics is not None:
-            extras["link_events"] = result.dynamics.report()
-            _merge_burst_flow_ids(extras)
-        return _finish_record(spec, result, net, extras)
+    return flows, duration * workload.get("deadline_factor", 2.5)
 
 
-def _merge_burst_flow_ids(extras: dict) -> None:
-    """Surface dynamics-injected burst flows under ``extras["flow_ids"]``.
-
-    The load program has no per-tag flow map of its own (the Poisson
-    population is thousands of anonymous ``bg`` flows), but injected
-    bursts are few and analyses select them by tag.
-    """
-    flow_ids: dict[str, list[int]] = extras.get("flow_ids", {})
-    for entry in extras.get("link_events", ()):
-        if entry.get("type") == "inject_burst":
-            flow_ids.setdefault(entry["tag"], []).extend(entry["flow_ids"])
-    if flow_ids:
-        extras["flow_ids"] = flow_ids
-
-
-def _resolve_ports(net, declarations) -> dict | None:
-    """Resolve a declarative port list to live egress ports.
-
-    Each entry is ``[label, "between", a, b]`` (egress of device ``a``
-    toward ``b``) or ``[label, "to_host", h]`` (the switch egress feeding
-    host ``h`` — the usual bottleneck probe).
-    """
-    if declarations is None:
-        return None
-    ports = {}
-    for entry in declarations:
-        label, kind = entry[0], entry[1]
-        if kind == "between":
-            ports[label] = net.port_between(entry[2], entry[3])
-        elif kind == "to_host":
-            host = entry[2]
-            feeder = next(
-                peer for (node, peer) in net.port_map if node == host
-            )
-            ports[label] = net.port_between(feeder, host)
-        else:
-            raise ValueError(f"unknown sample-port kind {kind!r}")
-    return ports
-
-
-def _run_flows(spec: ScenarioSpec) -> RunRecord:
-    """An explicit flow list, optionally with mid-run network dynamics.
+def _listed_population(spec: ScenarioSpec, topology: Topology,
+                       wire_factor: float) -> tuple[list[FlowSpec], float]:
+    """``flows``: an explicit flow list, ids 1..n.
 
     workload: ``{"flows": [[src, dst, size, start?, tag?], ...],
-    "deadline", "events"?: the legacy fail/restore shim}``; dynamics: a
-    timeline of mid-run events (see ``repro.dynamics``); measure:
-    ``{"sample_interval"?, "sample_ports"?, "windows"?,
-    "pause_intervals"?}``.
+    "deadline", "events"?: the legacy fail/restore shim}``.
     """
-    with maybe_span("setup"):
-        topo = build_topology(spec)
-        config = dict(spec.config)
-        base_rtt = config.pop("base_rtt", None)
-        goodput_bin = config.pop("goodput_bin", None)
-        net = setup_network(
-            topo, spec.cc, base_rtt=base_rtt, goodput_bin=goodput_bin,
-            seed=spec.seed, **config,
+    flows = [
+        FlowSpec(
+            flow_id=i, src=entry[0], dst=entry[1], size=entry[2],
+            start_time=entry[3] if len(entry) > 3 else 0.0,
+            tag=entry[4] if len(entry) > 4 else "bg",
         )
-        workload = spec.workload
-        flow_specs = [
-            net.make_flow(
-                src=entry[0], dst=entry[1], size=entry[2],
-                start_time=entry[3] if len(entry) > 3 else 0.0,
-                tag=entry[4] if len(entry) > 4 else "bg",
-            )
-            for entry in workload["flows"]
-        ]
+        for i, entry in enumerate(spec.workload["flows"], start=1)
+    ]
+    return flows, spec.workload["deadline"]
 
-        driver = None
+
+_POPULATIONS = {"load": _load_population, "flows": _listed_population}
+
+
+def _run_network(spec: ScenarioSpec) -> RunRecord:
+    """The ``load`` and ``flows`` programs on the spec's data plane.
+
+    Build the topology and the plane, build the population, add burst
+    flows from the dynamics timeline, run, and assemble the record.
+    Beyond the workload keys of each population: ``config`` holds
+    ``NetworkConfig`` overrides (``base_rtt`` required for paper
+    fidelity); ``dynamics`` is a timeline of mid-run events (see
+    ``repro.dynamics``); ``measure`` takes ``sample_interval``,
+    ``sample_ports``, ``windows`` and ``pause_intervals``.
+    """
+    plane_cls = data_plane(spec.backend)
+    with maybe_span("setup"):
+        topology = build_topology(spec)
+        plane = plane_cls(spec, topology)
+        flows, deadline = _POPULATIONS[spec.program](
+            spec, topology, plane.wire_factor
+        )
         timeline = spec_timeline(spec)
-        if timeline:
-            bursts, burst_entries = burst_flow_specs(
-                timeline, topo.hosts, spec.seed,
-                next_flow_id=len(flow_specs) + 1,
-            )
-            flow_specs = flow_specs + bursts
-            driver = PacketDynamicsDriver(net, timeline, burst_entries)
-            driver.install()
-
-    result = run_workload(
-        net, flow_specs, deadline=workload["deadline"],
-        sample_interval=spec.measure.get("sample_interval"),
-        sample_ports=_resolve_ports(net, spec.measure.get("sample_ports")),
-    )
-
+        bursts, burst_entries = burst_flow_specs(
+            timeline, topology.hosts, spec.seed,
+            next_flow_id=max((fs.flow_id for fs in flows), default=0) + 1,
+        )
+        flows = flows + bursts
+        plane.start(flows, timeline, burst_entries)
+    with maybe_span("run"):
+        completed = plane.run(deadline)
     with maybe_span("collect"):
-        extras = _base_extras(spec, result, net)
+        out = plane.collect()
+        extras = out.extras
+        # The load population is thousands of anonymous ``bg`` flows;
+        # only its injected bursts are few enough to map by tag.
         flow_ids: dict[str, list[int]] = {}
-        for fs in flow_specs:
+        for fs in flows if spec.program == "flows" else bursts:
             flow_ids.setdefault(fs.tag, []).append(fs.flow_id)
-        extras["flow_ids"] = flow_ids
-        if driver is not None:
-            extras["link_events"] = driver.report()
+        if flow_ids or spec.program == "flows":
+            extras["flow_ids"] = flow_ids
         if spec.measure.get("windows"):
-            windows: dict[str, float | None] = {}
-            for fs in flow_specs:
-                flow = net.nics[fs.src].flows.get(fs.flow_id)
-                window = getattr(flow, "window", None) \
-                    if flow is not None else None
-                windows[str(fs.flow_id)] = window
-            extras["final_windows"] = windows
-        return _finish_record(spec, result, net, extras)
+            extras["final_windows"] = {
+                str(flow_id): window
+                for flow_id, window in out.windows.items()
+            }
+        return RunRecord(
+            spec=spec,
+            fct=[
+                {
+                    "flow_id": r.spec.flow_id, "src": r.spec.src,
+                    "dst": r.spec.dst, "size": r.spec.size,
+                    "start_time": r.spec.start_time, "tag": r.spec.tag,
+                    "start": r.start, "finish": r.finish, "ideal": r.ideal,
+                }
+                for r in out.fct
+            ],
+            queues={
+                label: {"times": list(times), "qlens": list(qlens)}
+                for label, (times, qlens) in out.queues.items()
+            },
+            extras=extras,
+            events_processed=out.events_processed,
+            duration_ns=out.duration_ns,
+            completed=completed,
+        )
 
 
 def _run_appendix_a1(spec: ScenarioSpec) -> RunRecord:
@@ -367,77 +294,11 @@ def _run_appendix_a2(spec: ScenarioSpec) -> RunRecord:
 
 
 PROGRAMS: dict[str, Callable[[ScenarioSpec], RunRecord]] = {
-    "load": _run_load,
-    "flows": _run_flows,
+    "load": _run_network,
+    "flows": _run_network,
     "appendix_a1": _run_appendix_a1,
     "appendix_a2": _run_appendix_a2,
 }
-
-
-def _packet_overrides() -> dict[str, Callable[[ScenarioSpec], RunRecord]]:
-    """The packet backend runs the base table as-is (no overrides)."""
-    return {}
-
-
-def _fluid_overrides() -> dict[str, Callable[[ScenarioSpec], RunRecord]]:
-    """Fluid twins of the network programs (lazy: keeps ``repro.runner``
-    importable without ``repro.fluid``)."""
-    from ..fluid.programs import FLUID_PROGRAMS
-
-    return FLUID_PROGRAMS
-
-
-def _hybrid_overrides() -> dict[str, Callable[[ScenarioSpec], RunRecord]]:
-    """Hybrid (packet-in-fluid) twins of the network programs."""
-    from ..hybrid.programs import HYBRID_PROGRAMS
-
-    return HYBRID_PROGRAMS
-
-
-#: Backend name -> loader returning that backend's program *overrides*
-#: (programs absent from the override table — the analytic appendix
-#: programs — fall back to the shared packet implementations).  Dispatch
-#: is table-driven on purpose: a backend name missing from this table
-#: raises instead of silently falling through to the packet engine, so
-#: adding a backend to ``BACKENDS`` without wiring its programs is loud.
-BACKEND_PROGRAMS: dict[
-    str, Callable[[], dict[str, Callable[[ScenarioSpec], RunRecord]]]
-] = {
-    "packet": _packet_overrides,
-    "fluid": _fluid_overrides,
-    "hybrid": _hybrid_overrides,
-}
-
-
-def backend_programs(
-    backend: str,
-) -> dict[str, Callable[[ScenarioSpec], RunRecord]]:
-    """The full program table for ``backend``; raises on unknown names."""
-    if backend not in BACKEND_PROGRAMS:
-        known = ", ".join(sorted(BACKEND_PROGRAMS))
-        raise ValueError(
-            f"unknown backend {backend!r}; known: {known}"
-        )
-    table = dict(PROGRAMS)
-    table.update(BACKEND_PROGRAMS[backend]())
-    return table
-
-
-def _resolve_program(spec: ScenarioSpec) -> Callable[[ScenarioSpec], RunRecord]:
-    """The implementation of ``spec.program`` on ``spec.backend``.
-
-    The fluid and hybrid backends override the network programs
-    (``load``/``flows``) with their own twins; the analytic appendix
-    programs never touch the packet engine, so all backends share them.
-    Imported lazily to keep ``repro.runner`` importable without
-    ``repro.fluid``/``repro.hybrid`` (and vice versa).
-    """
-    if spec.program not in PROGRAMS:
-        known = ", ".join(sorted(PROGRAMS))
-        raise ValueError(
-            f"unknown program {spec.program!r}; known: {known}"
-        )
-    return backend_programs(spec.backend)[spec.program]
 
 
 def execute_spec(spec: ScenarioSpec, telemetry: bool = False,
@@ -458,7 +319,8 @@ def execute_spec(spec: ScenarioSpec, telemetry: bool = False,
     whichever engine the spec selects — and exports one ``decision``
     record per CC control decision into the telemetry stream.
     """
-    program = _resolve_program(spec)
+    validate_specs([spec])
+    program = PROGRAMS[spec.program]
     started = time.perf_counter()
     if not (telemetry or decisions):
         record = program(spec)
@@ -523,22 +385,10 @@ def validate_specs(specs: list[ScenarioSpec]) -> None:
     typo.  The checks are registry-membership only (no simulator work).
     """
     for spec in specs:
-        if spec.program not in PROGRAMS:
-            known = ", ".join(sorted(PROGRAMS))
-            raise ValueError(
-                f"unknown program {spec.program!r}; known: {known}"
-            )
-        if spec.backend not in BACKEND_PROGRAMS:
-            known = ", ".join(sorted(BACKEND_PROGRAMS))
-            raise ValueError(
-                f"unknown backend {spec.backend!r}; known: {known}"
-            )
-        if spec.program in ("load", "flows") \
-                and spec.topology not in TOPOLOGIES:
-            known = ", ".join(sorted(TOPOLOGIES))
-            raise ValueError(
-                f"unknown topology {spec.topology!r}; known: {known}"
-            )
+        _require("program", spec.program, PROGRAMS)
+        _require("backend", spec.backend, PLANES)
+        if spec.program in _POPULATIONS:
+            _require("topology", spec.topology, TOPOLOGIES)
 
 
 def execute_spec_guarded(

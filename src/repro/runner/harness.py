@@ -1,37 +1,51 @@
-"""Execution primitives shared by every scenario program.
+"""The packet data plane and the execution primitives around it.
 
-Moved here from ``repro.experiments.common`` so the sweep runner (which
-experiment modules import) sits below the experiments in the layering;
-``repro.experiments.common`` re-exports everything for compatibility.
+:class:`PacketPlane` is the packet backend's side of the data-plane
+protocol the network programs of ``repro.runner.execute`` are written
+against (see :class:`Collected` for the protocol):
+
+* ``wire_factor`` — on-wire bytes per payload byte, which sizes the
+  ``load`` population;
+* ``start(flows, timeline, burst_entries)`` — install the dynamics
+  driver, attach the queue sampler and add the flows, in that order;
+* ``run(deadline)`` — run to completion or ``deadline``;
+* ``collect()`` — hand back a :class:`Collected`.
+
+:func:`setup_network` builds a ``Network`` for one CC choice (the
+packet plane's, and hand-built drivers'); :func:`generate_load_flows`
+is the ``load`` population every backend shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..dynamics import PacketDynamicsDriver
 from ..metrics.queuestats import QueueSampler
 from ..network import Network, NetworkConfig
 from ..obs import current as current_telemetry
-from ..obs import instrument_simulator, maybe_span
+from ..obs import instrument_simulator, probing
 from ..sim.flow import FctRecord, FlowSpec
 from ..topology.base import Topology
-from .spec import CcChoice
+from .spec import CcChoice, ScenarioSpec
 
 
 @dataclass
-class RunResult:
-    """Everything an experiment driver needs after one run."""
+class Collected:
+    """What a data plane hands back after its run.
 
-    net: Network
-    records: list[FctRecord]
-    sampler: QueueSampler | None
-    duration: float
-    completed: bool
-    dynamics: object | None = None      # PacketDynamicsDriver, if any
+    A data plane is built as ``Plane(spec, topology)`` and implements
+    ``wire_factor``, ``start(flows, timeline, burst_entries)``,
+    ``run(deadline) -> completed`` and ``collect() -> Collected``;
+    the network programs assemble the :class:`RunRecord` from this.
+    """
 
-    @property
-    def metrics(self):
-        return self.net.metrics
+    fct: list[FctRecord]                 # in record order
+    queues: dict[str, tuple[list[float], list[int]]]   # label -> series
+    windows: dict[int, float | None]     # flow id -> final sender window
+    extras: dict                         # backend-specific record extras
+    events_processed: int
+    duration_ns: float
 
 
 def setup_network(
@@ -58,45 +72,6 @@ def setup_network(
     return net
 
 
-def run_workload(
-    net: Network,
-    specs: list[FlowSpec],
-    deadline: float,
-    sample_interval: float | None = None,
-    sample_ports: dict | None = None,
-) -> RunResult:
-    """Offer flows, optionally sample queues, run to completion/deadline.
-
-    When an ambient telemetry context is active (``repro.obs``), the
-    simulator gets a :class:`~repro.obs.probes.SimProbe` for the
-    duration of the run and the whole thing is timed as the ``run``
-    span; otherwise this path is telemetry-free.
-    """
-    sampler = None
-    if sample_interval is not None:
-        ports = sample_ports if sample_ports is not None else net.switch_port_labels()
-        sampler = QueueSampler(net.sim, ports, sample_interval)
-    net.add_flows(specs)
-    tel = current_telemetry()
-    probe = instrument_simulator(net.sim, tel) if tel is not None else None
-    try:
-        with maybe_span("run"):
-            completed = net.run_until_done(deadline=deadline)
-    finally:
-        if probe is not None:
-            probe.finish(net.sim)
-            net.sim.telemetry = None
-    if sampler is not None:
-        sampler.stop()
-    return RunResult(
-        net=net,
-        records=net.metrics.fct_records,
-        sampler=sampler,
-        duration=net.sim.now,
-        completed=completed,
-    )
-
-
 def generate_load_flows(
     topology: Topology,
     cdf,
@@ -108,8 +83,8 @@ def generate_load_flows(
 ) -> tuple[list[FlowSpec], float]:
     """The load-program workload: Poisson background + optional incasts.
 
-    Returns ``(flow specs, workload duration)``.  Both execution backends
-    call this with the same arguments, so a packet and a fluid run of one
+    Returns ``(flow specs, workload duration)``.  Every backend calls
+    this with the same arguments, so a packet and a fluid run of one
     scenario offer the *identical* flow population — which is what makes
     cross-backend validation of goodput shares meaningful.
     """
@@ -137,50 +112,143 @@ def generate_load_flows(
     return specs, duration
 
 
-def load_experiment(
-    topology: Topology,
-    cc: CcChoice,
-    cdf,
-    load: float,
-    n_flows: int,
-    base_rtt: float,
-    seed: int = 1,
-    incast: dict | None = None,
-    deadline_factor: float = 2.5,
-    sample_interval: float | None = None,
-    timeline=None,
-    **config_kwargs,
-) -> RunResult:
-    """One background-load run: Poisson flows from ``cdf`` at ``load``.
+# -- the packet data plane --------------------------------------------------------
 
-    The duration follows from the target flow count; ``incast`` optionally
-    adds synchronized bursts (keys: fan_in, flow_size, load).  The run gets
-    ``deadline_factor`` times the workload duration to drain.  ``timeline``
-    (a :class:`~repro.dynamics.events.Timeline`) schedules mid-run network
-    events; its driver rides back on ``RunResult.dynamics``.
+def _resolve_ports(net: Network, declarations) -> dict:
+    """Resolve a declarative port list to live egress ports.
+
+    Each entry is ``[label, "between", a, b]`` (egress of device ``a``
+    toward ``b``) or ``[label, "to_host", h]`` (the switch egress feeding
+    host ``h`` — the usual bottleneck probe).
     """
-    with maybe_span("setup"):
-        net = setup_network(topology, cc, base_rtt=base_rtt, seed=seed,
-                            **config_kwargs)
-        wire = (net.config.mtu + net.header) / net.config.mtu
-        specs, duration = generate_load_flows(
-            topology, cdf, load=load, n_flows=n_flows,
-            seed=seed, wire_overhead=wire, incast=incast,
-        )
-        driver = None
-        if timeline:
-            from ..dynamics import PacketDynamicsDriver, burst_flow_specs
-
-            next_id = max((s.flow_id for s in specs), default=0) + 1
-            bursts, burst_entries = burst_flow_specs(
-                timeline, topology.hosts, seed, next_id
+    ports = {}
+    for entry in declarations:
+        label, kind = entry[0], entry[1]
+        if kind == "between":
+            ports[label] = net.port_between(entry[2], entry[3])
+        elif kind == "to_host":
+            host = entry[2]
+            feeder = next(
+                peer for (node, peer) in net.port_map if node == host
             )
-            specs = specs + bursts
-            driver = PacketDynamicsDriver(net, timeline, burst_entries)
-            driver.install()
-    result = run_workload(
-        net, specs, deadline=duration * deadline_factor,
-        sample_interval=sample_interval,
-    )
-    result.dynamics = driver
-    return result
+            ports[label] = net.port_between(feeder, host)
+        else:
+            raise ValueError(f"unknown sample-port kind {kind!r}")
+    return ports
+
+
+def _base_extras(spec: ScenarioSpec, net: Network) -> dict:
+    tracker = net.metrics.pause_tracker
+    extras: dict = {
+        "n_hosts": net.topology.n_hosts,
+        "header_bytes": net.header,
+        "drops": net.metrics.drop_count,
+        "pause_count": tracker.pause_count(),
+        "pause_total_ns": tracker.total_pause_time(None),
+        "switch_queued_bytes": {
+            str(sw): switch.total_queued_bytes()
+            for sw, switch in net.switches.items()
+        },
+    }
+    if spec.measure.get("pause_intervals"):
+        extras["pause_intervals"] = [
+            [iv.device, iv.port, iv.start, iv.end] for iv in tracker.intervals
+        ]
+        extras["origin_of"] = [
+            [device, port, peer]
+            for (device, port), peer in net.origin_of.items()
+        ]
+    if net.metrics.goodput is not None:
+        extras["goodput"] = {
+            "bin_ns": net.metrics.goodput.bin_ns,
+            "bins": {
+                str(flow_id): {str(idx): n for idx, n in bins.items()}
+                for flow_id, bins in net.metrics.goodput._bins.items()
+            },
+        }
+    return extras
+
+
+class PacketPlane:
+    """The packet backend: one discrete-event ``Network``.
+
+    ``config`` overrides ``spec.config`` (the hybrid backend hands its
+    packet half a config without the fluid- and hybrid-only keys).
+    """
+
+    def __init__(self, spec: ScenarioSpec, topology: Topology,
+                 config: dict | None = None) -> None:
+        config = dict(spec.config if config is None else config)
+        self.spec = spec
+        self.net = setup_network(
+            topology, spec.cc, base_rtt=config.pop("base_rtt", None),
+            goodput_bin=config.pop("goodput_bin", None), seed=spec.seed,
+            **config,
+        )
+        self.wire_factor = (self.net.config.mtu + self.net.header) \
+            / self.net.config.mtu
+        self.flows: list[FlowSpec] = []
+        self.driver: PacketDynamicsDriver | None = None
+        self.sampler: QueueSampler | None = None
+
+    def start(self, flows: list[FlowSpec], timeline,
+              burst_entries: list[dict]) -> None:
+        self.install_dynamics(timeline, burst_entries)
+        self.attach_sampler()
+        self.add_flows(flows)
+
+    def install_dynamics(self, timeline, burst_entries: list[dict]) -> None:
+        if timeline:
+            self.driver = PacketDynamicsDriver(self.net, timeline,
+                                               burst_entries)
+            self.driver.install()
+
+    def attach_sampler(self) -> None:
+        """Sample ``measure["sample_ports"]`` (default: every switch
+        egress) every ``measure["sample_interval"]`` ns, if set."""
+        measure = self.spec.measure
+        interval = measure.get("sample_interval")
+        if interval is not None:
+            declared = measure.get("sample_ports")
+            ports = self.net.switch_port_labels() if declared is None \
+                else _resolve_ports(self.net, declared)
+            self.sampler = QueueSampler(self.net.sim, ports, interval)
+
+    def add_flows(self, flows: list[FlowSpec]) -> None:
+        self.flows = flows
+        self.net.add_flows(flows)
+
+    def probed(self):
+        return probing(self.net.sim, instrument_simulator)
+
+    def run(self, deadline: float) -> bool:
+        with self.probed():
+            completed = self.net.run_until_done(deadline=deadline)
+        self.stop_sampler()
+        return completed
+
+    def stop_sampler(self) -> None:
+        if self.sampler is not None:
+            self.sampler.stop()
+
+    def collect(self) -> Collected:
+        net = self.net
+        extras = _base_extras(self.spec, net)
+        if self.driver is not None:
+            extras["link_events"] = self.driver.report()
+        sampler = self.sampler
+        return Collected(
+            fct=net.metrics.fct_records,
+            queues={} if sampler is None else {
+                label: (sampler.times, values)
+                for label, values in sampler.samples.items()
+            },
+            windows={
+                fs.flow_id: getattr(
+                    net.nics[fs.src].flows.get(fs.flow_id), "window", None)
+                for fs in self.flows
+            },
+            extras=extras,
+            events_processed=net.sim.events_processed,
+            duration_ns=net.sim.now,
+        )

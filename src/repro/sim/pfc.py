@@ -76,11 +76,14 @@ class PauseTracker:
         self._open.clear()
 
     def total_pause_time(self, devices: set[int] | None = None) -> float:
-        return sum(
-            iv.duration
-            for iv in self.intervals
-            if devices is None or iv.device in devices
-        )
+        # A left-to-right fold, not ``sum()``: float ``sum()`` is
+        # compensated from Python 3.12 on, and this total is pinned
+        # into run records.  Starts from int 0, as ``sum()`` does.
+        total = 0
+        for iv in self.intervals:
+            if devices is None or iv.device in devices:
+                total += iv.duration
+        return total
 
     def pause_count(self) -> int:
         return len(self.intervals)

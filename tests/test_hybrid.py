@@ -5,9 +5,10 @@ The suite is the co-simulation's contract, in three tiers:
 * **degenerate bit-identity** — an all-foreground hybrid run must be
   *bit-identical* (events processed + FCT digest) to the pure packet
   backend, and an all-background run to the pure fluid backend.  This
-  holds by construction (degenerate partitions delegate wholesale), so
-  any drift here means the delegation or the None-gated coupling hooks
-  leaked into a pure path.
+  holds by construction (a degenerate partition runs the same
+  population on the pure packet or fluid plane), so any drift here
+  means the hand-off or the None-gated coupling hooks leaked into a
+  pure path.
 * **bounded mixed-mode agreement** — with a real split, each foreground
   flow's FCT/goodput must agree with the pure packet run within the
   same tolerances ``tests/test_fluid.py`` grants the fluid model
@@ -36,7 +37,7 @@ from repro.runner import (
     execute_spec,
     plan_resume,
 )
-from repro.runner.execute import backend_programs, validate_specs
+from repro.runner.execute import data_plane, validate_specs
 from repro.sim.flow import FlowSpec
 from repro.sim.units import MS, US
 
@@ -181,12 +182,12 @@ class TestForegroundSelector:
 
 class TestBackendDispatch:
     def test_hybrid_is_a_known_backend(self):
-        table = backend_programs("hybrid")
-        assert {"load", "flows"} <= set(table)
+        plane = data_plane("hybrid")
+        assert {"start", "run", "collect"} <= set(dir(plane))
 
     def test_unknown_backend_raises_with_known_list(self):
         with pytest.raises(ValueError, match="fluid, hybrid, packet"):
-            backend_programs("quantum")
+            data_plane("quantum")
 
     def test_spec_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
