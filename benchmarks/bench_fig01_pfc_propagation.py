@@ -2,7 +2,7 @@
 
 Paper (production data): ~10% of pause events propagate 3 hops; the worst
 events suppress up to 25% of network capacity.  Here: DCQCN + incast on a
-synthetic PoD (DESIGN.md substitution 5).
+synthetic PoD, standing in for the paper's production telemetry.
 """
 
 from repro.experiments.figure01 import run_figure01

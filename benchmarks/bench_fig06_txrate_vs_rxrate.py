@@ -1,7 +1,7 @@
 """Figure 6: txRate versus rxRate feedback in a 2-to-1 scenario.
 
 Paper: txRate converges gracefully; rxRate oscillates before converging.
-Reproduction note (EXPERIMENTS.md): under Algorithm 1's min-qlen filter,
+Reproduction note: under Algorithm 1's min-qlen filter,
 EWMA and reference window, the rxRate variant also converges here; the
 bench asserts convergence for both and records the transient difference
 (rxRate over-cuts because queue and arrival rate double-count).

@@ -27,13 +27,12 @@ import platform
 import sys
 import time
 
-#: Version of the JSON payload this script emits.  Bump when the
-#: payload shape changes and note the migration here:
-#:
-#: * (unstamped) — the PR 3/4 snapshots (``BENCH_pr3.json``,
-#:   ``BENCH_pr4.json``): ``{python, platform, results[], notes?}``,
-#:   no ``schema`` key.  Readers must treat a missing key as v1.
-#: * 2 — same shape plus this ``schema`` stamp.
+#: Version of the JSON payload this script emits, and the only one the
+#: report's BENCH trajectory reads: ``{schema, python, platform,
+#: results[], notes?}``.  Bump when the payload shape changes and
+#: migrate the checked-in snapshots in the same change (the PR 3/4
+#: snapshots predated the stamp and were stamped 2 once; the shape was
+#: already this one).
 #:
 #: The checked-in trajectory starts at ``BENCH_pr3.json``: PR 0-2
 #: predate the snapshot convention, so ``BENCH_pr1.json`` and

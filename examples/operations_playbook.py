@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Operations playbook: failure injection, packet tracing, result export.
+"""Operations playbook: failure injection and result export.
 
 The workflow a network operator would run against the simulator: start a
 loaded fabric, cut a trunk mid-run, watch the CC re-converge, and leave
-with machine-readable artifacts (CSV/JSON + a packet trace) for offline
-analysis.
+with the machine-readable artifacts every sweep writes (the full run
+record as JSON and a one-row summary CSV) for offline analysis.
 
 Run:  python examples/operations_playbook.py [output_dir]
 """
@@ -13,18 +13,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import Network, NetworkConfig
-from repro.experiments.failover import dual_trunk
-from repro.metrics.export import (
-    run_summary,
-    write_fct_csv,
-    write_pauses_csv,
-    write_queue_csv,
-    write_summary_json,
-)
+from repro.dynamics import FailLink, Timeline
 from repro.metrics.reporter import format_table
-from repro.sim.trace import PacketTracer
+from repro.runner import ScenarioSpec, execute_spec, write_records_csv
 from repro.sim.units import MS, US
+from repro.topology import dual_trunk
 
 
 def main() -> None:
@@ -32,53 +25,42 @@ def main() -> None:
         Path(tempfile.mkdtemp(prefix="hpcc-ops-"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # A 2-rack fabric with two parallel 50G trunks, HPCC everywhere.
-    topology = dual_trunk(n_pairs=4)
-    net = Network(topology, NetworkConfig(
-        cc_name="hpcc", base_rtt=9 * US, goodput_bin=100 * US,
-    ))
-    tracer = PacketTracer.attach(net, max_events=50_000)
-    sampler = net.sample_queues(interval=10 * US)
-
-    # Four rack-to-rack transfers; one trunk dies at 2ms.
-    sw_a, sw_b = topology.switch_tiers["tor"]
-    specs = [net.make_flow(src=i, dst=4 + i, size=10_000_000)
-             for i in range(4)]
-    net.add_flows(specs)
-    net.sim.at(2 * MS, lambda: net.fail_link(sw_a, sw_b))
-
-    done = net.run_until_done(deadline=20 * MS)
-    sampler.stop()
+    # A 2-rack fabric with two parallel 50G trunks, HPCC everywhere:
+    # four rack-to-rack transfers, and one trunk dies at 2ms.
+    sw_a, sw_b = dual_trunk(n_pairs=4).switch_tiers["tor"]
+    spec = ScenarioSpec(
+        program="flows",
+        topology="dual_trunk",
+        topology_params={"n_pairs": 4},
+        workload={
+            "flows": [[i, 4 + i, 10_000_000] for i in range(4)],
+            "deadline": 20 * MS,
+        },
+        config={"base_rtt": 9 * US, "goodput_bin": 100 * US},
+        measure={"sample_interval": 10 * US},
+        dynamics=Timeline([FailLink(at=2 * MS, a=sw_a, b=sw_b)]),
+        label="trunk-failover",
+    )
+    record = execute_spec(spec)
 
     rows = [
         (r.spec.flow_id, f"{r.fct / MS:.2f}", f"{r.slowdown:.2f}")
-        for r in sorted(net.metrics.fct_records, key=lambda r: r.spec.flow_id)
+        for r in sorted(record.fct_records(), key=lambda r: r.spec.flow_id)
     ]
     print(format_table(
         ["flow", "FCT (ms)", "slowdown"],
         rows, title="Transfers across a mid-run trunk failure (HPCC)",
     ))
-    print(f"\nall flows finished: {done}; "
-          f"packets lost to the cut: "
-          f"{sum(l.packets_lost_down for l in net.links)}; "
-          f"drops at switches: {net.metrics.drop_count}")
+    lost = sum(e["packets_lost_down"] for e in record.link_events())
+    print(f"\nall flows finished: {record.completed}; "
+          f"packets lost to the cut: {lost}; "
+          f"drops at switches: {record.extras['drops']}")
 
-    # Export everything.
-    n_fct = write_fct_csv(net.metrics.fct_records, out_dir / "fct.csv")
-    n_q = write_queue_csv(sampler, out_dir / "queues.csv")
-    n_p = write_pauses_csv(net.metrics.pause_tracker, out_dir / "pauses.csv")
-    n_t = tracer.write(out_dir / "trace.txt")
-    write_summary_json(
-        run_summary(net.metrics.fct_records, net.sim.now,
-                    tracker=net.metrics.pause_tracker,
-                    drops=net.metrics.drop_count,
-                    extra={"cc": "hpcc", "scenario": "trunk-failover"}),
-        out_dir / "summary.json",
-    )
+    record.write_json(out_dir / "record.json")
+    write_records_csv([record], out_dir / "summary.csv")
     print(f"\nwrote to {out_dir}:")
-    print(f"  fct.csv ({n_fct} flows), queues.csv ({n_q} samples), "
-          f"pauses.csv ({n_p} intervals), trace.txt ({n_t} events), "
-          f"summary.json")
+    print(f"  record.json ({len(record.fct)} flows, "
+          f"{len(record.queues)} sampled queues), summary.csv")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ Quick start::
     net.run_until_done(deadline=10e6)
     print(net.metrics.fct_records[0].slowdown)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record of every figure.
+See README.md for the system inventory and ``hpcc-repro report`` for
+the paper-versus-measured verdict of every figure.
 """
 
 from .core import (

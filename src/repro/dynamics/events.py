@@ -198,8 +198,7 @@ class Timeline:
     ``detection_delay`` models routing-protocol reaction time: a link
     state change takes effect on the data plane immediately (packets
     drop, capacity moves) but routing reconverges only ``detection_delay``
-    ns later — 0 (the default) reconverges at the event instant, which is
-    what the legacy ``workload["events"]`` hook always did.
+    ns later — 0 (the default) reconverges at the event instant.
     """
 
     __slots__ = ("events", "detection_delay")
@@ -262,34 +261,6 @@ class Timeline:
                 raise ValueError(f"unknown dynamics event {kind!r}; known: {known}")
             events.append(event_cls.from_json(entry))
         return cls(events, detection_delay=data.get("detection_delay", 0.0))
-
-    @classmethod
-    def for_spec(
-        cls, dynamics: dict | None, legacy_events: Iterable | None = None
-    ) -> "Timeline":
-        """The timeline one scenario spec declares.
-
-        Merges the first-class ``spec.dynamics`` field with the legacy
-        ``workload["events"]`` list (``[kind, t, a, b]`` rows — the
-        pre-dynamics failover hook), which rides along as a deprecation
-        shim: old JSON specs keep hashing and running identically.
-        """
-        timeline = cls.from_json(dynamics) if dynamics else cls()
-        if not legacy_events:
-            return timeline
-        legacy: list[DynEvent] = []
-        for row in legacy_events:
-            kind, at, a, b = row[0], row[1], row[2], row[3]
-            if kind == "fail_link":
-                legacy.append(FailLink(at=at, a=a, b=b))
-            elif kind == "restore_link":
-                legacy.append(RestoreLink(at=at, a=a, b=b))
-            else:
-                raise ValueError(f"unknown link event {kind!r}")
-        return cls(
-            list(timeline.events) + legacy,
-            detection_delay=timeline.detection_delay,
-        )
 
     # -- expansion ---------------------------------------------------------------
 

@@ -13,9 +13,9 @@ control plane react at different times, as in a real fabric:
   event's accounting entry.
 
 With ``detection_delay == 0`` cut and reconvergence share one scheduled
-callback, so runs driven through the legacy ``workload["events"]`` shim
-replay the exact event structure (and therefore ``events_processed``)
-of the pre-dynamics hook — the golden determinism fixtures pin that.
+callback, so a fail/restore pair replays the exact event structure (and
+therefore ``events_processed``) of the pre-dynamics failover hook — the
+golden determinism fixtures pin that.
 """
 
 from __future__ import annotations

@@ -74,7 +74,7 @@ def a2_scenario(n_trials: int = 50, seed: int = 11) -> ScenarioSpec:
     *exactly* only when no path through the new bottleneck is already
     clamped by an earlier one; otherwise saturation is geometric (fast but
     asymptotic).  We therefore check Pareto optimality within I steps at a
-    1% saturation tolerance and within 5I steps at 1e-6 (EXPERIMENTS.md).
+    1% saturation tolerance and within 5I steps at 1e-6.
     """
     return ScenarioSpec(
         program="appendix_a2",

@@ -2,10 +2,11 @@
 
 The paper's Figure 1 is *production telemetry*: (a) how many hops PFC
 pause trees propagate, (b) how much host bandwidth they suppress.  Our
-substitution (DESIGN.md): drive a PoD with DCQCN under repeated large
-incasts — the regime the paper identifies as the pause trigger — trace
-every pause interval, chain overlapping intervals into cause-effect trees
-(``repro.metrics.pfcstats``), and report the same two distributions.
+substitution, since no production fabric is at hand: drive a PoD with
+DCQCN under repeated large incasts — the regime the paper identifies as
+the pause trigger — trace every pause interval, chain overlapping
+intervals into cause-effect trees (``repro.metrics.pfcstats``), and
+report the same two distributions.
 
 Expected shape: most events stay at depth 1 (host links paused by a ToR),
 a tail reaches depth 3 (ToR -> Agg -> ToR -> hosts, i.e. the whole PoD),

@@ -9,7 +9,7 @@ two summary numbers used by the benchmark: the post-transient mean queue
 and the oscillation amplitude (std-dev of the queue after the initial
 drain).
 
-Reproduction note (recorded in EXPERIMENTS.md): under Algorithm 1's
+Reproduction note: under Algorithm 1's
 published safeguards — the min(qlen) filter, the parameterless EWMA and
 the per-RTT reference window — the rxRate variant *also* converges in our
 simulator; the oscillation the paper shows is damped by exactly these

@@ -17,7 +17,7 @@ DCQCN's additive increase is glacial by design (the paper's own Figure 9b
 shows no recovery within 2ms); the elephant-mice scenario therefore uses a
 raised ``rai`` so DCQCN reaches its ECN-threshold equilibrium within the
 scaled warm-up — the accelerant changes time-to-equilibrium, not the
-equilibrium queue itself (recorded in EXPERIMENTS.md).
+equilibrium queue itself.
 """
 
 from __future__ import annotations

@@ -140,8 +140,8 @@ def scenarios(
     # Event placement uses the INT-enabled wire factor; schemes without
     # INT run a few percent shorter, which only shifts where inside the
     # run the cut lands — not what is measured.
-    from ..sim.packet import BASE_HEADER, INT_OVERHEAD
-    wire = (1000 + BASE_HEADER + INT_OVERHEAD) / 1000
+    from ..sim.packet import data_wire_factor
+    wire = data_wire_factor(1000, True)
     duration = s["n_flows"] / (s["load"] * total_capacity / (cdf.mean() * wire))
     p.setdefault("fail_at", p["fail_at_frac"] * duration)
     p.setdefault(

@@ -32,7 +32,7 @@ from ..core.base import CcEnv
 from ..core.registry import get_scheme
 from ..sim.ecn import EcnConfig
 from ..sim.flow import FctRecord, FlowSpec
-from ..sim.packet import ACK_SIZE, BASE_HEADER, INT_OVERHEAD, IntHop
+from ..sim.packet import ACK_SIZE, IntHop, data_header, data_wire_factor
 from ..sim.units import MB
 from ..topology.base import Topology
 from .adapters import FluidClock, FlowProxy, StepSignals, adapter_for
@@ -68,8 +68,8 @@ class ScalarFluidEngine:
         self.scheme = get_scheme(cc_name)
         self.cc_params = dict(cc_params or {})
         self.mtu = mtu
-        self.header = BASE_HEADER + (INT_OVERHEAD if self.scheme.needs_int else 0)
-        self.wire_factor = (mtu + self.header) / mtu
+        self.header = data_header(self.scheme.needs_int)
+        self.wire_factor = data_wire_factor(mtu, self.scheme.needs_int)
         self.base_rtt = (
             base_rtt
             if base_rtt is not None

@@ -40,9 +40,11 @@ from __future__ import annotations
 from functools import cached_property
 
 from ..fluid.programs import FluidPlane
+from ..network import NetworkConfig
 from ..runner.harness import Collected, PacketPlane
 from ..runner.spec import ScenarioSpec
 from ..sim.flow import FlowSpec
+from ..sim.packet import data_wire_factor
 from ..topology.base import Topology
 from .engine import HybridEngine
 from .select import partition_specs
@@ -87,15 +89,16 @@ class HybridPlane:
 
     @cached_property
     def packet(self) -> PacketPlane:
-        """The packet half, built on first use: an all-background
-        ``flows`` run, whose population needs no wire factor, never
-        builds a ``Network``."""
+        """The packet half, built on first use: an all-background run
+        never builds a ``Network``."""
         return PacketPlane(self.spec, self.topology, self.cfg.packet)
 
     @property
     def wire_factor(self) -> float:
-        """The packet half's: the population is the packet program's."""
-        return self.packet.wire_factor
+        """The packet half's (the population is the packet program's),
+        read off its config without building its ``Network``."""
+        config = NetworkConfig(cc_name=self.spec.cc.name, **self.cfg.packet)
+        return data_wire_factor(config.mtu, config.data_int_enabled())
 
     def start(self, flows: list[FlowSpec], timeline,
               burst_entries: list[dict]) -> None:

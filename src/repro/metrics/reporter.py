@@ -88,18 +88,3 @@ def ascii_series(
     )
     return "\n".join(lines)
 
-
-def format_cdf(
-    values: Sequence[float],
-    probs: Sequence[float],
-    points: Sequence[float] = (0.5, 0.9, 0.95, 0.99, 1.0),
-    value_fmt: str = "{:.1f}",
-) -> str:
-    """Summarize a CDF at the usual percentile points."""
-    if not values:
-        return "(no samples)"
-    parts = []
-    for p in points:
-        idx = min(len(values) - 1, max(0, int(p * len(values)) - 1))
-        parts.append(f"p{int(p * 100)}=" + value_fmt.format(values[idx]))
-    return "  ".join(parts)

@@ -26,7 +26,7 @@ from .sim.engine import Simulator
 from .sim.flow import FlowSpec
 from .sim.link import Link
 from .sim.nic import HostNic, NicConfig
-from .sim.packet import BASE_HEADER, INT_OVERHEAD
+from .sim.packet import data_header, data_wire_factor
 from .sim.pfc import PfcConfig
 from .sim.routing import RerouteReport, RoutingState
 from .sim.switch import Switch
@@ -62,6 +62,13 @@ class NetworkConfig:
     goodput_bin: float | None = None    # enable goodput time series
     seed: int = 1
 
+    def data_int_enabled(self) -> bool:
+        """Whether data packets carry INT: ``int_enabled`` if set, else
+        what the CC scheme needs."""
+        if self.int_enabled is not None:
+            return self.int_enabled
+        return get_scheme(self.cc_name).needs_int
+
 
 class Network:
     """A live, runnable network simulation."""
@@ -76,14 +83,12 @@ class Network:
         #: start; each flow's CC instance then records its decisions.
         self.decision_tap = None
 
-        int_enabled = (
-            config.int_enabled
-            if config.int_enabled is not None
-            else self.scheme.needs_int
-        )
+        int_enabled = config.data_int_enabled()
         self.int_enabled = int_enabled
-        header = BASE_HEADER + (INT_OVERHEAD if int_enabled else 0)
+        header = data_header(int_enabled)
         self.header = header
+        #: On-wire bytes per payload byte (sizes ideal FCTs and offered load).
+        self.wire_factor = data_wire_factor(config.mtu, int_enabled)
         self.base_rtt = (
             config.base_rtt
             if config.base_rtt is not None
@@ -327,8 +332,7 @@ class Network:
         rate = min(
             self.topology.host_rate(spec.src), self.topology.host_rate(spec.dst)
         )
-        wire_factor = (self.config.mtu + self.header) / self.config.mtu
-        return (spec.size * wire_factor / rate
+        return (spec.size * self.wire_factor / rate
                 + self.pair_base_rtt(spec.src, spec.dst))
 
     # -- running -------------------------------------------------------------------

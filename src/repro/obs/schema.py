@@ -22,8 +22,9 @@ Field conventions shared by all kinds:
 * Non-finite floats are encoded as the strings ``"inf"``, ``"-inf"``,
   ``"nan"`` (same convention as ``report.json``).
 
-Bump :data:`SCHEMA_VERSION` when a required field changes meaning or a
-kind is removed; adding an optional field or a new kind is compatible.
+Readers accept only the current :data:`SCHEMA_VERSION`, so a bump makes
+older streams unreadable.  Bump it when a required field changes meaning
+or a kind is removed; adding an optional field or a new kind needs none.
 """
 
 from __future__ import annotations
@@ -35,15 +36,11 @@ from typing import Any
 #: Schema identifier stamped into every ``meta`` record.
 SCHEMA_NAME = "hpcc-repro-telemetry"
 
-#: Version of the record layout described in this module's docstring.
-#: Version 2 adds the ``decision`` kind (CC control-loop decision
-#: records from :class:`~repro.core.base.DecisionTap`); version-1
-#: streams remain fully readable (see :data:`READABLE_VERSIONS`).
+#: Version of the record layout described in this module's docstring,
+#: and the only meta version :func:`validate_record` accepts.  Version 2
+#: added the ``decision`` kind (CC control-loop decision records from
+#: :class:`~repro.core.base.DecisionTap`).
 SCHEMA_VERSION = 2
-
-#: Meta versions this reader accepts.  Version 1 predates the
-#: ``decision`` kind but is otherwise identical, so v1 files stay valid.
-READABLE_VERSIONS = frozenset({1, SCHEMA_VERSION})
 
 #: Every record kind a writer may emit.
 KINDS = frozenset(
@@ -108,10 +105,10 @@ def validate_record(obj: Any) -> str | None:
     if kind == "meta":
         if obj.get("schema") != SCHEMA_NAME:
             return f"meta schema is {obj.get('schema')!r}, not {SCHEMA_NAME!r}"
-        if obj.get("version") not in READABLE_VERSIONS:
+        if obj.get("version") != SCHEMA_VERSION:
             return (
-                f"meta version {obj.get('version')!r} not in "
-                f"{sorted(READABLE_VERSIONS)}"
+                f"meta version {obj.get('version')!r} is not "
+                f"{SCHEMA_VERSION}"
             )
         if not isinstance(obj.get("run_id"), str):
             return "meta missing run_id"

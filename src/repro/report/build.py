@@ -469,18 +469,17 @@ def _build_hybrid_cell(out: Path, scale: str = "bench") -> str:
 
 # -- benchmark trajectory ---------------------------------------------------------
 
-#: Bench-snapshot payload versions this reader understands.  ``None``
-#: is the unstamped v1 payload (the PR 3/4 files predate the ``schema``
-#: key); a future stamp this code does not know is skipped, not fatal.
-_BENCH_SCHEMAS = (None, 1, 2)
+#: The bench-snapshot payload version this reader understands
+#: (``benchmarks/run_all.py``'s ``BENCH_SCHEMA``).
+_BENCH_SCHEMA = 2
 
 
 def _load_bench_snapshots(root: Path) -> list[tuple[int, dict]]:
     """``BENCH_pr<N>.json`` snapshots, schema-checked and PR-sorted.
 
-    Unparsable files, non-object payloads and unknown schema stamps are
-    skipped — a perf trajectory built from surviving snapshots beats an
-    aborted report.
+    Unparsable files, non-object payloads and payloads not stamped
+    ``"schema": 2`` are skipped — a perf trajectory built from
+    surviving snapshots beats an aborted report.
     """
     snapshots: list[tuple[int, dict]] = []
     for path in root.glob("BENCH_pr*.json"):
@@ -492,7 +491,7 @@ def _load_bench_snapshots(root: Path) -> list[tuple[int, dict]]:
         except (OSError, json.JSONDecodeError):
             continue
         if not isinstance(data, dict) \
-                or data.get("schema") not in _BENCH_SCHEMAS:
+                or data.get("schema") != _BENCH_SCHEMA:
             continue
         snapshots.append((int(match.group(1)), data))
     snapshots.sort()

@@ -83,19 +83,6 @@ def workload_cdf(workload: dict):
 
 # -- the network programs ---------------------------------------------------------
 
-def spec_timeline(spec: ScenarioSpec) -> Timeline:
-    """The spec's dynamics timeline, legacy ``workload["events"]`` included.
-
-    The legacy list (``[["fail_link"|"restore_link", t, a, b], ...]``) is
-    a deprecation shim over the timeline DSL: old JSON specs keep hashing
-    identically (the ``dynamics`` field stays empty) and keep running
-    identically (a shimmed fail/restore fires as one scheduled callback
-    with immediate reconvergence — the pre-dynamics behaviour, pinned by
-    the golden determinism fixtures).
-    """
-    return Timeline.for_spec(spec.dynamics, spec.workload.get("events"))
-
-
 #: Backend name -> ``(module, class)`` of its data plane (the protocol
 #: is documented on :class:`~repro.runner.harness.Collected`).  Imported
 #: on first use, so ``repro.runner`` does not pull in ``repro.fluid`` or
@@ -145,7 +132,7 @@ def _listed_population(spec: ScenarioSpec, topology: Topology,
     """``flows``: an explicit flow list, ids 1..n.
 
     workload: ``{"flows": [[src, dst, size, start?, tag?], ...],
-    "deadline", "events"?: the legacy fail/restore shim}``.
+    "deadline"}``; link events come from ``spec.dynamics``.
     """
     flows = [
         FlowSpec(
@@ -179,7 +166,7 @@ def _run_network(spec: ScenarioSpec) -> RunRecord:
         flows, deadline = _POPULATIONS[spec.program](
             spec, topology, plane.wire_factor
         )
-        timeline = spec_timeline(spec)
+        timeline = Timeline.from_json(spec.dynamics)
         bursts, burst_entries = burst_flow_specs(
             timeline, topology.hosts, spec.seed,
             next_flow_id=max((fs.flow_id for fs in flows), default=0) + 1,

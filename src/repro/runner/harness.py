@@ -185,8 +185,7 @@ class PacketPlane:
             goodput_bin=config.pop("goodput_bin", None), seed=spec.seed,
             **config,
         )
-        self.wire_factor = (self.net.config.mtu + self.net.header) \
-            / self.net.config.mtu
+        self.wire_factor = self.net.wire_factor
         self.flows: list[FlowSpec] = []
         self.driver: PacketDynamicsDriver | None = None
         self.sampler: QueueSampler | None = None

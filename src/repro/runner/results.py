@@ -28,11 +28,10 @@ from ..sim.flow import FctRecord, FlowSpec
 from ..sim.pfc import PauseInterval, PauseTracker
 from .spec import ScenarioSpec
 
-#: 2 added ``status``/``error``/``attempts`` (the fault-tolerance fields);
-#: format-1 records predate them and load with the ``ok`` defaults.
+#: The only record layout :meth:`RunRecord.from_json` reads.  2 added
+#: ``status``/``error``/``attempts``; an older cache entry fails to load
+#: and :class:`RunCache` quarantines it.
 RECORD_FORMAT = 2
-
-_READABLE_FORMATS = frozenset({1, RECORD_FORMAT})
 
 #: Terminal execution outcomes a record can carry.
 RECORD_STATUSES = ("ok", "error", "timeout")
@@ -211,10 +210,10 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunRecord":
-        fmt = data.get("format", 1)
-        if fmt not in _READABLE_FORMATS:
+        fmt = data.get("format")
+        if fmt != RECORD_FORMAT:
             raise ValueError(f"unreadable record format {fmt!r}")
-        status = data.get("status", "ok")
+        status = data["status"]
         if status not in RECORD_STATUSES:
             raise ValueError(f"unknown record status {status!r}")
         return cls(
@@ -227,8 +226,8 @@ class RunRecord:
             completed=data["completed"],
             wall_time_s=data["wall_time_s"],
             status=status,
-            error=data.get("error"),
-            attempts=data.get("attempts", 1),
+            error=data["error"],
+            attempts=data["attempts"],
         )
 
     def write_json(self, path: str | Path) -> Path:

@@ -76,8 +76,8 @@ class ScenarioSpec:
 
     * ``"load"``  — Poisson background traffic from a named size CDF,
       optionally with synchronized incasts (the Figure 2/3/10/11/12 shape);
-    * ``"flows"`` — an explicit flow list with optional mid-run link
-      events (the Figure 6/9/13/14, Appendix A.4 and failover shape);
+    * ``"flows"`` — an explicit flow list (the Figure 6/9/13/14,
+      Appendix A.4 and failover shape);
     * ``"appendix_a1"`` / ``"appendix_a2"`` — the analytic experiments.
 
     ``topology`` names a factory in the topology registry and
@@ -102,6 +102,8 @@ class ScenarioSpec:
     trains and scheduled incast bursts.  It is hash-distinct — two specs
     differing only in their fault schedule never share a cache entry —
     and sweepable via :func:`~repro.dynamics.events.dynamics_axis`.
+    It is the only place link events are declared: a
+    ``workload["events"]`` key raises.
     """
 
     program: str
@@ -124,14 +126,20 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown backend {self.backend!r}; known: {known}"
             )
-        dynamics = self.dynamics
-        if dynamics:
-            from ..dynamics.events import Timeline
+        if "events" in self.workload:
+            raise ValueError(
+                'workload["events"] is not read; declare link events in '
+                "the spec's dynamics timeline (repro.dynamics.Timeline)"
+            )
+        from ..dynamics.events import Timeline
 
-            if isinstance(dynamics, Timeline):
-                object.__setattr__(self, "dynamics", dynamics.to_json())
-            else:
-                Timeline.from_json(dynamics)    # eager validation
+        dynamics = self.dynamics
+        if isinstance(dynamics, Timeline):
+            # An empty timeline is stored as ``{}``, the hash-neutral form.
+            object.__setattr__(self, "dynamics",
+                               dynamics.to_json() if dynamics else {})
+        elif dynamics:
+            Timeline.from_json(dynamics)        # eager validation
 
     # -- identity --------------------------------------------------------------
 

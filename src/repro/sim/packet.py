@@ -51,6 +51,17 @@ CNP_SIZE = 60
 PFC_FRAME_SIZE = 64
 
 
+def data_header(int_enabled: bool) -> int:
+    """Header bytes of a data packet: base headers, plus INT space when
+    INT is on.  (:func:`make_data_packet` inlines this on the hot path.)"""
+    return BASE_HEADER + (INT_OVERHEAD if int_enabled else 0)
+
+
+def data_wire_factor(mtu: int, int_enabled: bool) -> float:
+    """On-wire bytes per payload byte of full-``mtu`` data packets."""
+    return (mtu + data_header(int_enabled)) / mtu
+
+
 class IntHop:
     """One switch's telemetry record, appended at packet emission."""
 

@@ -98,10 +98,6 @@ class EgressPort:
         return self._done_event is not None or self.sim.now < self._busy_until
 
     @property
-    def queue_len_packets(self) -> int:
-        return len(self._queue)
-
-    @property
     def idle(self) -> bool:
         """True when nothing is being serialized and no data is queued."""
         # `not busy` inlined: this property is on the NIC pump's hot path.
@@ -111,9 +107,6 @@ class EgressPort:
             and self._done_event is None
             and self.sim.now >= self._busy_until
         )
-
-    def serialization_time(self, wire_size: int) -> float:
-        return wire_size / self.rate
 
     # -- enqueue paths -------------------------------------------------------
 

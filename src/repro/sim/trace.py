@@ -2,8 +2,9 @@
 
 Attach a :class:`PacketTracer` to a network to record per-packet events —
 send, receive, ACK, drop, PFC — with timestamps, for debugging CC
-behaviour at packet granularity or feeding external analysis.  Tracing is
-off unless attached, so the hot path stays clean.
+behaviour at packet granularity or feeding external analysis; its one
+export is :meth:`PacketTracer.to_jsonl`, in the ``repro.obs`` telemetry
+schema.  Tracing is off unless attached, so the hot path stays clean.
 
 >>> tracer = PacketTracer.attach(net)           # doctest: +SKIP
 >>> net.run_until_done(deadline=1e6)            # doctest: +SKIP
@@ -28,10 +29,6 @@ class TraceEvent:
     seq: int
     size: int
     node: int
-
-    def as_line(self) -> str:
-        return (f"{self.t:.1f} {self.kind} flow={self.flow_id} "
-                f"seq={self.seq} size={self.size} node={self.node}")
 
 
 _KIND_BY_TYPE = {
@@ -108,12 +105,6 @@ class PacketTracer:
 
     def count(self, kind: str) -> int:
         return sum(1 for e in self.events if e.kind == kind)
-
-    def write(self, path: str | Path) -> int:
-        """Dump the trace as one line per event; returns the line count."""
-        lines = [e.as_line() for e in self.events]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-        return len(lines)
 
     def to_jsonl(self, path: str | Path, run_id: str = "packet-trace") -> int:
         """Export in the ``repro.obs`` telemetry schema; returns the

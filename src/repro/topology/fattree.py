@@ -8,7 +8,7 @@ Pods pair ToRs with Aggs (full bipartite inside a pod); each Agg connects
 to an even share of the Core layer.  The builder is fully parameterized:
 packet-level simulation of the full fabric in Python is possible but slow,
 so experiments default to a scaled instance (same oversubscription ratio,
-same tiering — DESIGN.md substitution 3).
+same tiering — the properties the paper's FatTree results depend on).
 """
 
 from __future__ import annotations

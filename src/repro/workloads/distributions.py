@@ -86,8 +86,8 @@ class EmpiricalCdf:
         """The same shape with every size multiplied by ``factor``.
 
         Used to shrink workloads for Python-speed runs while preserving
-        the distribution's shape (DESIGN.md substitution 3); bucket edges
-        scale with it.
+        the distribution's shape, as the scaled FatTree preserves the
+        fabric's tiering; bucket edges scale with it.
         """
         if factor <= 0:
             raise ValueError("factor must be positive")

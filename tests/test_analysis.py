@@ -54,7 +54,7 @@ class TestLemma:
 
     (iii) is checked at a 1% saturation tolerance: when a later bottleneck
     carries paths clamped by an earlier one it saturates geometrically
-    rather than in one exact step (see EXPERIMENTS.md).
+    rather than in one exact step.
     """
 
     @settings(deadline=None, max_examples=40)

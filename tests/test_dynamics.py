@@ -4,14 +4,16 @@ Covers the three layers plus the compatibility contract:
 
 * timeline DSL — construction, validation, JSON round-trip, flap
   expansion, spec integration (hash distinctness, legacy hash
-  preservation pinned to the pre-dynamics value);
+  preservation pinned to the pre-dynamics value, ``workload["events"]``
+  rejected in favour of ``dynamics``);
 * incremental routing — ``RoutingState``'s scoped recompute must equal a
   from-scratch ``build_routing_tables`` over the alive subgraph after
   any sequence of failures/restores;
 * drivers — detection delay, symmetric fail/restore accounting, degrade,
-  burst injection, fluid parking, and the legacy ``workload["events"]``
-  shim regression (same spec hash, same FCTs, same event count as the
-  pre-dynamics hook — values captured at the PR-3 tip).
+  burst injection, fluid parking, and the pre-dynamics failover
+  regression (a fail/restore pair in ``dynamics`` gives the same FCTs
+  and event count as the pre-dynamics hook — values captured at the
+  PR-3 tip).
 """
 
 import hashlib
@@ -90,22 +92,11 @@ class TestTimelineDsl:
         ]
         assert all(i == 0 for i, _e in prims)     # all from event 0
 
-    def test_legacy_events_merge(self):
-        tl = Timeline.for_spec(
-            {"events": [{"type": "degrade_link", "at": 5.0, "a": 0, "b": 1,
-                         "rate_factor": 0.5}]},
-            [["fail_link", 1.0, 4, 5], ["restore_link", 2.0, 4, 5]],
-        )
-        assert [e.kind for e in tl] == ["fail_link", "restore_link",
-                                       "degrade_link"]
-        with pytest.raises(ValueError, match="unknown link event"):
-            Timeline.for_spec(None, [["explode_link", 1.0, 4, 5]])
-
-
 class TestSpecIntegration:
-    # The failover HPCC spec hash at the PR-3 tip, before the dynamics
-    # field existed.  Empty dynamics must not change any legacy hash.
-    LEGACY_FAILOVER_HASH = "7979982bd2e9634f"
+    # The failover HPCC spec hash (without its link events) at the PR-3
+    # tip, before the dynamics field existed.  Empty dynamics must not
+    # change any legacy hash.
+    LEGACY_FAILOVER_HASH = "e6301282b398dad4"
 
     def legacy_spec(self):
         return ScenarioSpec(
@@ -116,8 +107,6 @@ class TestSpecIntegration:
                 "flows": [[0, 2, 2_000_000, 0.0, "bg"],
                           [1, 3, 2_000_000, 3.0, "bg"]],
                 "deadline": 50 * MS,
-                "events": [["fail_link", 0.2 * MS, 4, 5],
-                           ["restore_link", 0.6 * MS, 4, 5]],
             },
             config={"base_rtt": 9 * US, "rto": 300 * US,
                     "goodput_bin": 50 * US},
@@ -127,6 +116,15 @@ class TestSpecIntegration:
 
     def test_legacy_hash_unchanged(self):
         assert self.legacy_spec().spec_hash == self.LEGACY_FAILOVER_HASH
+        empty = self.legacy_spec().replaced(dynamics=Timeline())
+        assert empty.dynamics == {}
+        assert empty.spec_hash == self.LEGACY_FAILOVER_HASH
+
+    def test_workload_events_rejected(self):
+        with pytest.raises(ValueError, match="dynamics"):
+            self.legacy_spec().replaced(
+                **{"workload.events": [["fail_link", 0.2 * MS, 4, 5]]}
+            )
 
     def test_dynamics_is_hash_distinct(self):
         base = self.legacy_spec()
@@ -305,9 +303,10 @@ def fct_digest(fct_rows) -> str:
 
 
 class TestLegacyShimRegression:
-    """The ``workload["events"]`` shim replays the pre-dynamics hook
-    exactly.  Golden values captured at the PR-3 tip (before the
-    subsystem existed): the shimmed run must keep the same event count
+    """A fail/restore pair declared in ``dynamics`` replays the
+    pre-dynamics failover hook exactly.  Golden values captured at the
+    PR-3 tip (before the subsystem existed, when the pair was declared
+    as ``workload["events"]``): the run must keep the same event count
     and bit-identical FCT records."""
 
     GOLDEN_EVENTS = 51960
@@ -324,12 +323,12 @@ class TestLegacyShimRegression:
                 "flows": [[0, 2, 2_000_000, 0.0, "bg"],
                           [1, 3, 2_000_000, 3.0, "bg"]],
                 "deadline": 50 * MS,
-                "events": [["fail_link", 0.2 * MS, 4, 5],
-                           ["restore_link", 0.6 * MS, 4, 5]],
             },
             config={"base_rtt": 9 * US, "rto": 300 * US,
                     "goodput_bin": 50 * US},
             seed=3,
+            dynamics=Timeline([FailLink(at=0.2 * MS, a=4, b=5),
+                               RestoreLink(at=0.6 * MS, a=4, b=5)]),
         )
 
     def test_shim_is_bit_identical_to_pre_dynamics_hook(self):
@@ -337,21 +336,6 @@ class TestLegacyShimRegression:
         assert record.completed
         assert record.events_processed == self.GOLDEN_EVENTS
         assert fct_digest(record.fct) == self.GOLDEN_DIGEST
-
-    def test_shim_equals_first_class_timeline(self):
-        legacy = execute_spec(self.legacy_spec())
-        timeline = Timeline([FailLink(at=0.2 * MS, a=4, b=5),
-                             RestoreLink(at=0.6 * MS, a=4, b=5)])
-        spec = self.legacy_spec()
-        spec = spec.replaced(
-            dynamics=timeline,
-            workload={k: v for k, v in spec.workload.items()
-                      if k != "events"},
-        )
-        first_class = execute_spec(spec)
-        assert fct_digest(first_class.fct) == fct_digest(legacy.fct)
-        assert first_class.events_processed == legacy.events_processed
-        assert first_class.spec_hash != legacy.spec_hash
 
     def test_shim_entry_shape(self):
         record = execute_spec(self.legacy_spec())

@@ -34,3 +34,20 @@ def test_custom_cc_example_registers_and_runs(capsys):
     out = capsys.readouterr().out
     assert "naive-aimd" in out
     assert "hpcc" in out
+
+
+def test_operations_playbook_writes_readable_record(capsys, monkeypatch,
+                                                    tmp_path):
+    from repro.runner import RunRecord
+
+    monkeypatch.setattr("sys.argv", ["operations_playbook.py", str(tmp_path)])
+    runpy.run_path(str(EXAMPLES / "operations_playbook.py"),
+                   run_name="__main__")
+    out = capsys.readouterr().out
+    assert "all flows finished: True" in out
+    record = RunRecord.read_json(tmp_path / "record.json")
+    assert record.spec.label == "trunk-failover"
+    assert len(record.fct) == 4
+    [cut] = record.link_events()
+    assert cut["type"] == "fail_link" and cut["fired"]
+    assert (tmp_path / "summary.csv").read_text().count("\n") == 2

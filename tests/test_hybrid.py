@@ -265,6 +265,37 @@ class TestDegenerateEquivalence:
         pure = execute_spec(spec.replaced(backend="fluid"))
         self.assert_identical(hybrid, pure)
 
+    def test_all_background_load_builds_no_network(self, monkeypatch):
+        """The population's wire factor is read off the packet config:
+        an all-background ``load`` cell never builds a ``Network``."""
+        from repro.network import Network
+
+        built = []
+        init = Network.__init__
+
+        def counting_init(net, *args, **kwargs):
+            built.append(net)
+            init(net, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "__init__", counting_init)
+        record = execute_spec(foreground(load_spec(), {"kind": "none"}))
+        assert record.extras["hybrid_mode"] == "all_background"
+        assert built == []
+
+    @pytest.mark.parametrize("cc, config", [
+        ("hpcc", {}), ("dctcp", {}), ("dctcp", {"int_enabled": True}),
+        ("hpcc", {"int_enabled": False, "mtu": 1500}),
+    ])
+    def test_wire_factor_matches_packet_network(self, cc, config):
+        from repro.runner.execute import build_topology
+
+        spec = load_spec(cc=CcChoice(cc)).replaced(
+            **{f"config.{k}": v for k, v in config.items()})
+        topology = build_topology(spec)
+        hybrid = data_plane("hybrid")(spec, topology)
+        packet = data_plane("packet")(spec, topology)
+        assert hybrid.wire_factor == packet.wire_factor
+
     def test_delegated_record_roundtrips_with_hybrid_spec(self):
         record = execute_spec(foreground(two_flow_spec(), {"kind": "all"}))
         back = RunRecord.from_json(json.loads(json.dumps(record.to_json())))

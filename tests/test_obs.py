@@ -103,6 +103,11 @@ class TestSchema:
         bad["version"] = SCHEMA_VERSION + 1
         assert "version" in validate_record(bad)
 
+    def test_meta_version_1_rejected(self):
+        old = meta_record("r1")
+        old["version"] = 1
+        assert "version" in validate_record(old)
+
     def test_unknown_kind_rejected(self):
         assert "kind" in validate_record({"kind": "tracepoint"})
         assert validate_record([1, 2]) == "record is not an object"

@@ -121,6 +121,7 @@ class TestBenchTrajectory:
     def test_reads_snapshots(self, tmp_path):
         for pr, wall in ((3, 1.5), (4, 1.2)):
             (tmp_path / f"BENCH_pr{pr}.json").write_text(json.dumps({
+                "schema": 2,
                 "results": [{"name": "engine_events", "wall_time_s": wall}],
             }))
         panel = load_bench_trajectory(tmp_path)
@@ -141,8 +142,9 @@ class TestBenchTrajectory:
         import math
 
         (tmp_path / "BENCH_pr3.json").write_text(json.dumps({
+            "schema": 2,
             "results": [{"name": "engine_events", "wall_time_s": 1.5}],
-        }))                                      # unstamped v1 snapshot
+        }))
         (tmp_path / "BENCH_pr6.json").write_text(json.dumps({
             "schema": 2,
             "results": [{"name": "engine_events", "wall_time_s": 1.1}],
@@ -152,6 +154,12 @@ class TestBenchTrajectory:
         assert series.x == [3.0, 4.0, 5.0, 6.0]  # full PR axis
         assert series.y[0] == 1.5 and series.y[3] == 1.1
         assert math.isnan(series.y[1]) and math.isnan(series.y[2])
+
+    def test_unstamped_snapshot_skipped(self, tmp_path):
+        (tmp_path / "BENCH_pr3.json").write_text(json.dumps({
+            "results": [{"name": "engine_events", "wall_time_s": 1.5}],
+        }))
+        assert load_bench_trajectory(tmp_path) is None
 
     def test_unknown_schema_stamp_skipped(self, tmp_path):
         (tmp_path / "BENCH_pr3.json").write_text(json.dumps({
@@ -167,6 +175,7 @@ class TestBenchTrajectory:
 
         for pr, wall in ((3, 2.0), (5, 1.0)):
             (tmp_path / f"BENCH_pr{pr}.json").write_text(json.dumps({
+                "schema": 2,
                 "results": [{"name": "engine_events", "wall_time_s": wall,
                              "params": {"events": 200_000}}],
             }))

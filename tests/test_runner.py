@@ -178,20 +178,19 @@ class TestExecution:
     def test_link_event_after_completion_still_yields_complete_entry(self):
         """A fail_link scheduled past the last flow's finish never fires;
         the record must still carry a complete (no-op) event entry."""
-        spec = tiny_flows_spec(
-            **{"workload.events": [["fail_link", 4.9e6, 3, 0]]}
-        )
+        spec = tiny_flows_spec(dynamics={"events": [
+            {"type": "fail_link", "at": 4.9e6, "a": 3, "b": 0},
+        ]})
         record = execute_spec(spec)
         [entry] = record.link_events()
         assert entry["fired"] is False
         assert entry["packets_lost_down"] == 0
 
     def test_unknown_link_event_rejected_eagerly(self):
-        spec = tiny_flows_spec(
-            **{"workload.events": [["melt_link", 1.0, 3, 0]]}
-        )
-        with pytest.raises(ValueError, match="unknown link event"):
-            execute_spec(spec)
+        with pytest.raises(ValueError, match="unknown dynamics event"):
+            tiny_flows_spec(dynamics={"events": [
+                {"type": "melt_link", "at": 1.0, "a": 3, "b": 0},
+            ]})
 
     def test_worker_execution_error_propagates_from_pool(self):
         """A broken spec must fail the sweep loudly, not silently degrade."""
@@ -218,6 +217,16 @@ class TestExecution:
             assert back.spec.backend == backend
             assert back.spec == record.spec
             assert back.fct == record.fct
+
+    @pytest.mark.parametrize("stamp", ["missing", 1])
+    def test_record_reader_accepts_format_2_only(self, stamp):
+        payload = execute_spec(tiny_flows_spec()).to_json()
+        if stamp == "missing":
+            del payload["format"]
+        else:
+            payload["format"] = stamp
+        with pytest.raises(ValueError, match="unreadable record format"):
+            RunRecord.from_json(payload)
 
 
 class TestRunCache:
@@ -274,6 +283,19 @@ class TestRunCache:
         path = cache.path_for(spec)
         data = json.loads(path.read_text())
         data["format"] = 999
+        path.write_text(json.dumps(data))
+        assert cache.get(spec) is None
+        assert path.with_suffix(".corrupt").exists()
+
+    def test_format_1_entry_is_quarantined(self, tmp_path):
+        cache = RunCache(tmp_path)
+        spec = tiny_flows_spec()
+        SweepRunner(cache=cache).run([spec])
+        path = cache.path_for(spec)
+        data = json.loads(path.read_text())
+        data["format"] = 1
+        for key in ("status", "error", "attempts"):
+            del data[key]
         path.write_text(json.dumps(data))
         assert cache.get(spec) is None
         assert path.with_suffix(".corrupt").exists()

@@ -46,11 +46,11 @@ class TestTracing:
 
     def test_write_trace_file(self, traced_run, tmp_path):
         _, tracer, _ = traced_run
-        path = tmp_path / "trace.txt"
-        n = tracer.write(path)
+        path = tmp_path / "trace.jsonl"
+        n = tracer.to_jsonl(path)
         lines = path.read_text().splitlines()
-        assert len(lines) == n == len(tracer.events)
-        assert "send flow=" in lines[0] or "recv flow=" in lines[0]
+        assert n == len(tracer.events) == len(lines) - 1   # + meta header
+        assert '"trace.send"' in lines[1] or '"trace.recv"' in lines[1]
 
     def test_max_events_cap(self):
         net = Network(star(3, host_rate="100Gbps"),
